@@ -7,7 +7,8 @@ Once the tree for a length would exceed a size threshold the search
 switches to a meet-in-the-middle strategy - enumerate canonical
 suffixes into a table keyed by mapping class, then scan canonical
 prefixes for the complementary class - which visits the same solution
-set and selects the same word.
+set and selects the same word.  A prefix carries the linear data of its
+inverse, grown by prepending inverse twists, so leaves invert no matrix.
 
 Pruning never changes the outcome:
 
@@ -45,8 +46,6 @@ from .homology import (
     LinearTwistData,
     compose_linear,
     identity_linear,
-    identity_matrix,
-    invert_linear,
     mat_mul,
     matrix_rank,
     twist_data,
@@ -179,13 +178,13 @@ def verify_factorisation(word: TwistWord, target: MappingClass) -> bool:
 class _Curve:
     """Per-letter composition data, precomputed once."""
 
-    __slots__ = ("name", "aut", "linear", "m_inv")
+    __slots__ = ("name", "aut", "linear", "inv_linear")
 
     def __init__(self, name: str, cfg: CurveConfig, genus: int) -> None:
         self.name = name
         self.aut = cfg.aut
         self.linear = twist_data(cfg.h, cfg.q, cfg.p, genus)
-        self.m_inv = twist_data(cfg.h, cfg.q, cfg.p, genus, -1).M
+        self.inv_linear = twist_data(cfg.h, cfg.q, cfg.p, genus, -1)
 
 
 def _class_key(aut: FreeAutomorphism, linear: LinearTwistData):
@@ -297,7 +296,6 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
 
     identity_aut = FreeAutomorphism.identity(rank)
     identity_lin = identity_linear(rank)
-    identity_m = identity_matrix(rank)
     deficit0 = sum(required.values())
 
     def make_word(names: tuple[str, ...]) -> TwistWord:
@@ -339,7 +337,7 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
                     depth + 1,
                     compose(aut, c.aut),
                     compose_linear([lin, c.linear]),
-                    mat_mul(c.m_inv, m_inv),
+                    mat_mul(c.inv_linear.M, m_inv),
                     new_deficit,
                     i,
                 )
@@ -351,7 +349,7 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
                 memo.add((_class_key(aut, lin), remaining, last))
             return None
 
-        hit = walk(0, identity_aut, identity_lin, identity_m, deficit0, -1)
+        hit = walk(0, identity_aut, identity_lin, identity_lin.M, deficit0, -1)
         return make_word(hit) if hit is not None else None
 
     # -- meet-in-the-middle at one exact length -------------------------
@@ -397,12 +395,12 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
         counts = dict.fromkeys(required, 0)
         prefix_memo: set = set()
 
-        def enum_prefix(depth, names, aut, lin, m_inv, deficit, last):
+        def enum_prefix(depth, names, aut, lin, inv_lin, deficit, last):
             nonlocal nodes
             nodes += 1
             if depth == half:
                 needed_aut = compose(aut.inverse(), target_exact)
-                needed_lin = compose_linear([invert_linear(lin), target.linear])
+                needed_lin = compose_linear([inv_lin, target.linear])
                 got = table.get(_class_key(needed_aut, needed_lin))
                 if got is not None:
                     matches.append(names + got)
@@ -411,7 +409,7 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
             if deficit > remaining:
                 prune_counts["mandatory"] += 1
                 return
-            if not _rank_bound_ok(m_inv, target.M, remaining, rank):
+            if not _rank_bound_ok(inv_lin.M, target.M, remaining, rank):
                 prune_counts["homology"] += 1
                 return
             memo_key = (_class_key(aut, lin), depth, last)
@@ -432,7 +430,7 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
                     names + (c.name,),
                     compose(aut, c.aut),
                     compose_linear([lin, c.linear]),
-                    mat_mul(c.m_inv, m_inv),
+                    compose_linear([c.inv_linear, inv_lin]),
                     new_deficit,
                     i,
                 )
@@ -440,7 +438,7 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
                     counts[i] -= 1
             prefix_memo.add((_class_key(aut, lin), depth, last))
 
-        enum_prefix(0, (), identity_aut, identity_lin, identity_m, deficit0, -1)
+        enum_prefix(0, (), identity_aut, identity_lin, identity_lin, deficit0, -1)
         if matches:
             return make_word(min(matches))
         return None

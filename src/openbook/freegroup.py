@@ -5,10 +5,12 @@ tuple equality.  Letters are signed 1-based generator indices: +k is the
 generator x_k, -k its inverse.
 
 Automorphisms store images of the generators together with images under
-the inverse map, and both directions are checked against each other at
-construction time.  That is deliberately paranoid: the curve tables built
-on top of this module were derived by hand, and a wrong inverse shows up
-here immediately instead of as a subtly wrong twist three modules later.
+the inverse map.  Both directions are checked against each other when an
+automorphism is built from outside data: the curve tables were derived by
+hand, and a wrong inverse shows up here instead of as a subtly wrong
+twist three modules later.  Results of ``compose``, ``inverse`` and
+``__pow__`` are trusted, not re-checked: f o g and g^-1 o f^-1 are
+mutually inverse whenever f and g are, and substitution reduces.
 """
 
 from __future__ import annotations
@@ -192,9 +194,9 @@ class FreeAutomorphism:
     """An automorphism of F_rank with an explicit inverse.
 
     ``images[k-1]`` is the reduced image of x_k, ``inverse_images[k-1]``
-    the reduced image of x_k under the inverse automorphism.  Validation
-    checks that the two substitution maps are mutually inverse on every
-    generator and that the abelianisation is unimodular.
+    the reduced image of x_k under the inverse automorphism.  The public
+    constructor checks that the two maps are mutually inverse; compose,
+    inverse, ``__pow__`` and identity build through unchecked ``_trusted``.
     """
 
     rank: int
@@ -214,15 +216,18 @@ class FreeAutomorphism:
                 raise ValueError(f"images do not invert inverse_images at x{k + 1}")
             if apply_images(inverse_images, images[k]) != gen:
                 raise ValueError(f"inverse_images do not invert images at x{k + 1}")
-        if abs(det(self.abelianize())) != 1:
-            # unreachable once the two-way check passes, but cheap and kept
-            # as a sanity net for direct constructions in tests
-            raise ValueError("abelianisation is not unimodular")
+
+    @classmethod
+    def _trusted(cls, rank: int, images, inverse_images) -> "FreeAutomorphism":
+        """Wrap images already known to be reduced and mutually inverse."""
+        aut = object.__new__(cls)
+        aut.__dict__.update(rank=rank, images=images, inverse_images=inverse_images)
+        return aut
 
     @classmethod
     def identity(cls, rank: int) -> "FreeAutomorphism":
         gens = tuple((k + 1,) for k in range(rank))
-        return cls(rank, gens, gens)
+        return cls._trusted(rank, gens, gens)
 
     @classmethod
     def from_images(
@@ -231,11 +236,7 @@ class FreeAutomorphism:
         images: Sequence[Sequence[int]],
         inverse_images: Sequence[Sequence[int]],
     ) -> "FreeAutomorphism":
-        return cls(
-            rank,
-            tuple(reduce_letters(w, rank) for w in images),
-            tuple(reduce_letters(w, rank) for w in inverse_images),
-        )
+        return cls(rank, tuple(images), tuple(inverse_images))
 
     @classmethod
     def inner(cls, rank: int, w: Sequence[int]) -> "FreeAutomorphism":
@@ -252,13 +253,8 @@ class FreeAutomorphism:
     def apply_inverse(self, letters: Sequence[int]) -> Letters:
         return apply_images(self.inverse_images, letters)
 
-    def apply_word(self, word: FreeWord) -> FreeWord:
-        if word.rank != self.rank:
-            raise ValueError("rank mismatch")
-        return FreeWord(self.rank, self.apply(word.letters))
-
     def inverse(self) -> "FreeAutomorphism":
-        return FreeAutomorphism(self.rank, self.inverse_images, self.images)
+        return FreeAutomorphism._trusted(self.rank, self.inverse_images, self.images)
 
     def is_identity(self) -> bool:
         return all(self.images[k] == (k + 1,) for k in range(self.rank))
@@ -284,4 +280,4 @@ def compose(f: FreeAutomorphism, g: FreeAutomorphism) -> FreeAutomorphism:
         raise ValueError(f"rank mismatch: {f.rank} vs {g.rank}")
     images = tuple(f.apply(w) for w in g.images)
     inverse_images = tuple(g.apply_inverse(w) for w in f.inverse_images)
-    return FreeAutomorphism(f.rank, images, inverse_images)
+    return FreeAutomorphism._trusted(f.rank, images, inverse_images)

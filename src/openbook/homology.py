@@ -296,9 +296,9 @@ def compose_linear(items: Sequence[LinearTwistData]) -> LinearTwistData:
     if not items:
         raise ValueError("compose_linear needs at least one item; "
                          "use identity_linear for the empty word")
-    m = items[0].rank
-    acc = identity_linear(m)
-    for item in items:
+    acc = items[0]
+    m = acc.rank
+    for item in items[1:]:
         if item.rank != m:
             raise ValueError("matrix dimension mismatch")
         acc = LinearTwistData(

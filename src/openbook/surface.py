@@ -31,7 +31,6 @@ from typing import Mapping, Sequence
 
 from .freegroup import (
     FreeAutomorphism,
-    FreeWord,
     Letters,
     apply_images,
     are_conjugate,
@@ -117,9 +116,6 @@ class SurfaceSpec:
         if not 2 <= i <= self.boundary:
             raise ValueError(f"no z generator for boundary component {i}")
         return 2 * self.genus + i - 1
-
-    def boundary_free_words(self) -> tuple[FreeWord, ...]:
-        return tuple(FreeWord(self.rank, w) for w in self.boundary_words)
 
 
 @dataclass(frozen=True)
@@ -369,8 +365,9 @@ def validate_catalog(surface: SurfaceSpec, catalog: Mapping[str, CurveConfig]) -
 
     Structural checks apply to any catalog; the relation checks (braid,
     commute, chain, lantern) run against the shipped tables when the
-    surface has them and are vacuous otherwise.  Raises if a curve
-    referenced by a relation table has no exact automorphism.
+    surface has them and are vacuous otherwise.  A relation naming a
+    curve the catalog lacks fails its check; one naming a curve without
+    an exact automorphism raises.
 
     Boundary-word behaviour: every twist must fix the basepoint
     boundary word b_1 on the nose; for the other components only the
@@ -461,6 +458,10 @@ def validate_catalog(surface: SurfaceSpec, catalog: Mapping[str, CurveConfig]) -
                 )
     add("boundary_words", failures)
 
+    def absent(names: Sequence[str]) -> str:
+        gone = sorted(set(names) - set(catalog))
+        return "curves not in catalog: " + ", ".join(gone) if gone else ""
+
     tables = _TABLES.get(surface.name)
     braid_failures: list[str] = []
     commute_failures: list[str] = []
@@ -468,8 +469,9 @@ def validate_catalog(surface: SurfaceSpec, catalog: Mapping[str, CurveConfig]) -
     lantern_failures: list[str] = []
     if tables is not None:
         for u, v in tables.braid_pairs:
-            if abs(dot(catalog[u].q, catalog[v].h)) != 1:
-                braid_failures.append(f"({u},{v}): pairing is not +-1")
+            gone = absent((u, v))
+            if gone or abs(dot(catalog[u].q, catalog[v].h)) != 1:
+                braid_failures.append(f"({u},{v}): {gone or 'pairing is not +-1'}")
                 continue
             if _word_aut(catalog, (u, v, u)) != _word_aut(catalog, (v, u, v)):
                 braid_failures.append(f"({u},{v}): automorphism braid identity fails")
@@ -478,8 +480,9 @@ def validate_catalog(surface: SurfaceSpec, catalog: Mapping[str, CurveConfig]) -
             ):
                 braid_failures.append(f"({u},{v}): linear braid identity fails")
         for u, v in tables.commute_pairs:
-            if dot(catalog[u].q, catalog[v].h) != 0:
-                commute_failures.append(f"({u},{v}): pairing is nonzero")
+            gone = absent((u, v))
+            if gone or dot(catalog[u].q, catalog[v].h) != 0:
+                commute_failures.append(f"({u},{v}): {gone or 'pairing is nonzero'}")
                 continue
             if _word_aut(catalog, (u, v)) != _word_aut(catalog, (v, u)):
                 commute_failures.append(f"({u},{v}): automorphisms do not commute")
@@ -487,18 +490,21 @@ def validate_catalog(surface: SurfaceSpec, catalog: Mapping[str, CurveConfig]) -
                 surface, catalog, (v, u)
             ):
                 commute_failures.append(f"({u},{v}): linear data does not commute")
-        if tables.chain is not None:
-            lhs, rhs = tables.chain
+        for kind, relation, failed in (
+            ("chain", tables.chain, chain_failures),
+            ("lantern", tables.lantern, lantern_failures),
+        ):
+            if relation is None:
+                continue
+            lhs, rhs = relation
+            gone = absent(lhs + rhs)
+            if gone:
+                failed.append(gone)
+                continue
             if _word_aut(catalog, lhs) != _word_aut(catalog, rhs):
-                chain_failures.append("chain relation fails on automorphisms")
+                failed.append(f"{kind} relation fails on automorphisms")
             if _word_linear(surface, catalog, lhs) != _word_linear(surface, catalog, rhs):
-                chain_failures.append("chain relation fails on linear data")
-        if tables.lantern is not None:
-            lhs, rhs = tables.lantern
-            if _word_aut(catalog, lhs) != _word_aut(catalog, rhs):
-                lantern_failures.append("lantern relation fails on automorphisms")
-            if _word_linear(surface, catalog, lhs) != _word_linear(surface, catalog, rhs):
-                lantern_failures.append("lantern relation fails on linear data")
+                failed.append(f"{kind} relation fails on linear data")
     add("braid", braid_failures)
     add("commute", commute_failures)
     add("chain", chain_failures)
@@ -846,11 +852,12 @@ def catalog_from_json(text: str) -> tuple[SurfaceSpec, Catalog]:
                     [tuple(int(x) for x in w) for w in spec["images"]],
                     [tuple(int(x) for x in w) for w in spec["inverse_images"]],
                 )
-            except (KeyError, ValueError) as e:
+            except (KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"curve {name!r}: bad automorphism: {e}") from None
         if name in catalog:
             raise ValueError(f"duplicate curve name {name!r}")
-        catalog[name] = CurveConfig(
-            name, h, q, p, entry.get("boundary_parallel_to"), aut
-        )
+        bpt = entry.get("boundary_parallel_to")
+        if bpt is not None and type(bpt) is not int:
+            raise ValueError(f"curve {name!r}: boundary_parallel_to must be an integer")
+        catalog[name] = CurveConfig(name, h, q, p, bpt, aut)
     return surface, catalog

@@ -16,8 +16,6 @@ from fractions import Fraction
 from .mcg import TwistWord, rename_word
 from .surface import SurfaceSpec, boundary_parallel_curve, stabilize
 
-Rational = Fraction
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" into an exact rational."""

@@ -224,6 +224,39 @@ def test_config_files(tmp_path, capsys):
     assert code == 1 and "exactly one of --surface and --config" in err
 
 
+def test_malformed_config_files(tmp_path, capsys):
+    from openbook.surface import catalog_to_json, load_builtin
+
+    spec, catalog = load_builtin("sigma11")
+    path = tmp_path / "surface.json"
+
+    def write(edit):
+        obj = json.loads(catalog_to_json(spec, catalog))
+        edit({c["name"]: c for c in obj["curves"]}, obj)
+        path.write_text(json.dumps(obj))
+
+    # a sigma11 catalog without a and d fails its relation checks by name
+    write(lambda curves, obj: obj.update(curves=[curves["b"]]))
+    code, out, err = run(capsys, "validate", "--config", str(path))
+    assert code == 1 and err == ""
+    assert "braid: FAIL ((a,b): curves not in catalog: a)" in out.splitlines()
+    assert "chain: FAIL (curves not in catalog: a, d)" in out.splitlines()
+    code, _, err = run(capsys, "h1", "--config", str(path), "--word", "b")
+    assert code == 1
+    assert err == "error: config validation failed: braid, commute, chain\n"
+
+    write(lambda curves, obj: curves["a"].update(aut=5))
+    code, _, err = run(capsys, "validate", "--config", str(path))
+    assert code == 1 and err.startswith("error: curve 'a': bad automorphism")
+    assert len(err.splitlines()) == 1
+
+    write(lambda curves, obj: curves["d"].update(boundary_parallel_to="x"))
+    code, _, err = run(capsys, "validate", "--config", str(path))
+    assert (code, err) == (
+        1, "error: curve 'd': boundary_parallel_to must be an integer\n"
+    )
+
+
 def test_help_and_unknown(capsys):
     code, _, err = run(capsys)
     assert code == 1 and "Subcommands:" in err

@@ -94,6 +94,11 @@ def test_automorphism_validation():
     assert aut.apply_inverse((1,)) == (1, -2)
     with pytest.raises(ValueError):
         FreeAutomorphism.from_images(2, ((1, 2), (2,)), ((1,), (2,)))
+    # the public constructor is a trust boundary too
+    with pytest.raises(ValueError, match="do not invert"):
+        FreeAutomorphism(2, ((1, 2), (2,)), ((1, 2), (2,)))
+    with pytest.raises(ValueError, match="one image per generator"):
+        FreeAutomorphism(2, ((1, 2), (2,)), ((1, -2),))
     # an endomorphism that kills a generator is rejected even as its own inverse
     with pytest.raises(ValueError):
         FreeAutomorphism.from_images(2, ((1,), (1,)), ((1,), (1,)))

@@ -1,7 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from openbook.freegroup import FreeAutomorphism
+from openbook.homology import compose_linear, identity_linear, invert_linear, twist_data
 from openbook.mcg import (
     MappingClass,
     TwistWord,
@@ -213,3 +217,46 @@ def test_rename_word():
     assert moved.surface == result.surface
     with pytest.raises(ValueError):
         rename_word(word, result.surface, result.catalog, {"d": "nope"})
+
+
+SIGMA12_SPEC, SIGMA12 = load_builtin("sigma12")
+
+
+def sigma12_entries(max_size):
+    return st.lists(
+        st.tuples(
+            st.sampled_from(sorted(SIGMA12)), st.sampled_from((-3, -2, -1, 1, 2, 3))
+        ),
+        max_size=max_size,
+    )
+
+
+# the two-way check costs about the product of image and inverse-image
+# lengths, which grow exponentially with the word; four twists keep an
+# example under a second
+@settings(max_examples=60, deadline=None)
+@given(sigma12_entries(4))
+def test_evaluated_automorphism_passes_validation(entries):
+    # evaluate builds through the trusted compose and __pow__; the public
+    # constructor must accept the result, and reject a spoiled inverse
+    exact = evaluate(TwistWord(SIGMA12_SPEC, SIGMA12, tuple(entries))).exact
+    rebuilt = FreeAutomorphism(exact.rank, exact.images, exact.inverse_images)
+    assert rebuilt == exact
+    spoiled = (exact.inverse_images[0] + (2,),) + exact.inverse_images[1:]
+    with pytest.raises(ValueError):
+        FreeAutomorphism.from_images(exact.rank, exact.images, spoiled)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sigma12_entries(8))
+def test_inverse_linear_from_inverse_twists(entries):
+    # the meet-in-the-middle prefix walk prepends the inverse twist of each
+    # letter it appends; that must give the linear data of the inverse word
+    word = TwistWord(SIGMA12_SPEC, SIGMA12, tuple(entries))
+    inv = identity_linear(SIGMA12_SPEC.rank)
+    for name, exp in word.expanded():
+        cfg = SIGMA12[name]
+        inv = compose_linear(
+            [twist_data(cfg.h, cfg.q, cfg.p, SIGMA12_SPEC.genus, -exp), inv]
+        )
+    assert inv == invert_linear(evaluate(word).linear)

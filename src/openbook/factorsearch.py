@@ -5,10 +5,31 @@ to the bound, and within one length depth-first in alphabet order, so
 the first hit is the lexicographically least shortest factorisation.
 Once the tree for a length would exceed a size threshold the search
 switches to a meet-in-the-middle strategy - enumerate canonical
-suffixes into a table keyed by mapping class, then scan canonical
-prefixes for the complementary class - which visits the same solution
-set and selects the same word.  A prefix carries the linear data of its
-inverse, grown by prepending inverse twists, so leaves invert no matrix.
+suffixes into a table, then scan canonical prefixes for the one that
+completes them - which visits the same solution set and selects the
+same word.  Every word found is checked once with
+``verify_factorisation`` before it is returned.
+
+Class keys.  A mapping class is the pair (automorphism phi of pi_1, D);
+the search keys it by (rho o phi, D), where rho is Sanov's faithful
+representation x_k -> A^k B A^-k of the free group in SL(2, Z)
+(``freegroup.sanov_basis``), kept as the tuple of matrices
+rho(phi(x_k)).  rho is injective, so two keys are equal exactly when
+the classes are, and every memo hit, table hit and tie-break is the one
+exact class equality would give.  Appending a twist c to a word is right
+composition, phi o tau_c, so the new key reads the images of tau_c
+through the old matrices, and D <- D R_c + D_c: both fold in constant
+data of c, and no free-group word is built.  A walk also carries M of
+its word's inverse, M^-1 <- M_{c^-1} M^-1, for the homology prune.
+
+Meet in the middle.  A prefix P completes a suffix S when P o S = T,
+that is P = T o S^-1.  The suffix table is filled in the depth-first
+order of the suffixes, keyed by T o S^-1 - the target's key with the
+inverse twists of S folded in from the right, last letter first - and
+keeps the first suffix per key, the lexicographically least.  A prefix
+looks up its own key.  T o S^-1 determines the class of S, so the table
+holds the same suffixes, and a prefix meets the same ones, as a table
+keyed by the class of S; the least of the matches is the same word.
 
 Pruning never changes the outcome:
 
@@ -41,14 +62,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .freegroup import FreeAutomorphism, compose
+from .freegroup import sanov_basis, sanov_substitute
 from .homology import (
-    LinearTwistData,
-    compose_linear,
-    identity_linear,
+    identity_matrix,
     mat_mul,
     matrix_rank,
     twist_data,
+    zero_matrix,
 )
 from .mcg import (
     MappingClass,
@@ -176,19 +196,47 @@ def verify_factorisation(word: TwistWord, target: MappingClass) -> bool:
 
 
 class _Curve:
-    """Per-letter composition data, precomputed once."""
+    """Per-letter data, precomputed once: the steps of the twist and of
+    its inverse for ``_right_compose``, and h, q for the rank bound."""
 
-    __slots__ = ("name", "aut", "linear", "inv_linear")
+    __slots__ = ("name", "h", "q", "step", "inverse_step")
 
     def __init__(self, name: str, cfg: CurveConfig, genus: int) -> None:
+        # raises unless q.h = 0 and p.Jh = 0, which make the transvections
+        # of the inverse twist I - h q^T and I - Jh p^T
+        twist_data(cfg.h, cfg.q, cfg.p, genus)
+        jh = tuple(x if i < 2 * genus else 0 for i, x in enumerate(cfg.h))
         self.name = name
-        self.aut = cfg.aut
-        self.linear = twist_data(cfg.h, cfg.q, cfg.p, genus)
-        self.inv_linear = twist_data(cfg.h, cfg.q, cfg.p, genus, -1)
+        self.h = cfg.h
+        self.q = cfg.q
+        self.step = (cfg.aut.images, jh, cfg.h, cfg.p)
+        self.inverse_step = (
+            cfg.aut.inverse_images, jh, cfg.h, tuple(-x for x in cfg.p)
+        )
 
 
-def _class_key(aut: FreeAutomorphism, linear: LinearTwistData):
-    return (aut.images, linear.D)
+def _right_compose(key, step):
+    """Class key (rho o phi o psi, D) from the key of phi and the step
+    (generator images, Jh, h, +-p) of a twist psi = tau_c^+-1.
+
+    D folds by D R_psi + D_psi; with R_psi = I +- Jh p^T and
+    D_psi = +-h p^T that is the rank-one update D + (D Jh + h)(+-p)^T.
+    """
+    rho, d = key
+    images, jh, h, p = step
+    u = [sum(x * y for x, y in zip(row, jh)) + hi for row, hi in zip(d, h)]
+    return (
+        sanov_substitute(rho, images),
+        tuple(tuple(x + ui * pj for x, pj in zip(row, p)) for row, ui in zip(d, u)),
+    )
+
+
+def _prepend_inverse(m_inv, c: _Curve):
+    """M of tau_c^-1 o w^-1 from M of w^-1: (I - h q^T) M."""
+    v = [sum(x * y for x, y in zip(c.q, col)) for col in zip(*m_inv)]
+    return tuple(
+        tuple(x - hi * vj for x, vj in zip(row, v)) for row, hi in zip(m_inv, c.h)
+    )
 
 
 def _q_nullspace(qs: list[tuple[int, ...]], rank: int) -> list[list[Fraction]]:
@@ -222,7 +270,7 @@ def _common_fixed_violated(problem: SearchProblem, curves: list[_Curve]) -> bool
     """True when the target moves an abelianized vector that every
     alphabet transvection fixes, making every length infeasible."""
     rank = problem.surface.rank
-    qs = [problem.catalog[c.name].q for c in curves]
+    qs = [c.q for c in curves]
     target_m = problem.target.M
     for v in _q_nullspace(qs, rank):
         moved = any(
@@ -258,8 +306,7 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
                     ci.name, cj.name
                 )
     target = problem.target
-    target_exact = target.exact
-    target_key = _class_key(target_exact, target.linear)
+    target_key = (sanov_substitute(sanov_basis(rank), target.exact.images), target.D)
     index_of = {c.name: i for i, c in enumerate(curves)}
     required = {
         index_of[name]: count
@@ -294,8 +341,8 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
         prune_counts["infeasible"] = 1
         return certificate()
 
-    identity_aut = FreeAutomorphism.identity(rank)
-    identity_lin = identity_linear(rank)
+    identity_key = (sanov_basis(rank), zero_matrix(rank))
+    identity_m = identity_matrix(rank)
     deficit0 = sum(required.values())
 
     def make_word(names: tuple[str, ...]) -> TwistWord:
@@ -307,12 +354,12 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
         memo: set = set()
         counts = dict.fromkeys(required, 0)
 
-        def walk(depth, aut, lin, m_inv, deficit, last):
+        def walk(depth, key, m_inv, deficit, last):
             nonlocal nodes
             nodes += 1
             remaining = length - depth
             if remaining == 0:
-                return () if _class_key(aut, lin) == target_key else None
+                return () if key == target_key else None
             if prune:
                 if deficit > remaining:
                     prune_counts["mandatory"] += 1
@@ -320,8 +367,8 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
                 if not _rank_bound_ok(m_inv, target.M, remaining, rank):
                     prune_counts["homology"] += 1
                     return None
-                key = (_class_key(aut, lin), remaining, last)
-                if key in memo:
+                memo_key = (key, remaining, last)
+                if memo_key in memo:
                     prune_counts["memo"] += 1
                     return None
             for i, c in enumerate(curves):
@@ -335,9 +382,8 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
                         new_deficit -= 1
                 hit = walk(
                     depth + 1,
-                    compose(aut, c.aut),
-                    compose_linear([lin, c.linear]),
-                    mat_mul(c.inv_linear.M, m_inv),
+                    _right_compose(key, c.step),
+                    _prepend_inverse(m_inv, c),
                     new_deficit,
                     i,
                 )
@@ -346,10 +392,10 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
                 if hit is not None:
                     return (c.name,) + hit
             if prune:
-                memo.add((_class_key(aut, lin), remaining, last))
+                memo.add(memo_key)
             return None
 
-        hit = walk(0, identity_aut, identity_lin, identity_lin.M, deficit0, -1)
+        hit = walk(0, identity_key, identity_m, deficit0, -1)
         return make_word(hit) if hit is not None else None
 
     # -- meet-in-the-middle at one exact length -------------------------
@@ -358,21 +404,30 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
         half = (length + 1) // 2
         suffix_len = length - half
 
-        # canonical suffixes of exact length, keyed by class; depth-first
-        # order makes the stored representative the lexicographically
-        # least word of its class
+        # canonical suffixes S of exact length, keyed by T o S^-1;
+        # depth-first order makes the stored representative the
+        # lexicographically least word of its class
         table: dict = {}
         seen: set = set()
+        # T o S'^-1 for the proper tails S' of suffixes: suffixes that end
+        # alike share the folds of their common tail
+        tail_keys: dict = {(): target_key}
 
-        def enum_suffix(depth, names, aut, lin, last):
+        def needed(path):
+            """T o S^-1: fold S's inverse twists, last letter first."""
+            tail = path[1:]
+            key = tail_keys.get(tail)
+            if key is None:
+                key = tail_keys[tail] = needed(tail)
+            return _right_compose(key, path[0].inverse_step)
+
+        def enum_suffix(depth, path, key, last):
             nonlocal nodes
             nodes += 1
             if depth == suffix_len:
-                key = _class_key(aut, lin)
-                if key not in table:
-                    table[key] = names
+                table.setdefault(needed(path), path)
                 return
-            memo_key = (_class_key(aut, lin), suffix_len - depth, last)
+            memo_key = (key, suffix_len - depth, last)
             if memo_key in seen:
                 prune_counts["memo"] += 1
                 return
@@ -383,36 +438,33 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
                     continue
                 enum_suffix(
                     depth + 1,
-                    names + (c.name,),
-                    compose(aut, c.aut),
-                    compose_linear([lin, c.linear]),
+                    path + (c,),
+                    _right_compose(key, c.step),
                     i,
                 )
 
-        enum_suffix(0, (), identity_aut, identity_lin, -1)
+        enum_suffix(0, (), identity_key, -1)
 
         matches: list[tuple[str, ...]] = []
         counts = dict.fromkeys(required, 0)
         prefix_memo: set = set()
 
-        def enum_prefix(depth, names, aut, lin, inv_lin, deficit, last):
+        def enum_prefix(depth, path, key, m_inv, deficit, last):
             nonlocal nodes
             nodes += 1
             if depth == half:
-                needed_aut = compose(aut.inverse(), target_exact)
-                needed_lin = compose_linear([inv_lin, target.linear])
-                got = table.get(_class_key(needed_aut, needed_lin))
+                got = table.get(key)
                 if got is not None:
-                    matches.append(names + got)
+                    matches.append(tuple(c.name for c in path + got))
                 return
             remaining = length - depth
             if deficit > remaining:
                 prune_counts["mandatory"] += 1
                 return
-            if not _rank_bound_ok(inv_lin.M, target.M, remaining, rank):
+            if not _rank_bound_ok(m_inv, target.M, remaining, rank):
                 prune_counts["homology"] += 1
                 return
-            memo_key = (_class_key(aut, lin), depth, last)
+            memo_key = (key, depth, last)
             if memo_key in prefix_memo:
                 prune_counts["memo"] += 1
                 return
@@ -427,18 +479,17 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
                         new_deficit -= 1
                 enum_prefix(
                     depth + 1,
-                    names + (c.name,),
-                    compose(aut, c.aut),
-                    compose_linear([lin, c.linear]),
-                    compose_linear([c.inv_linear, inv_lin]),
+                    path + (c,),
+                    _right_compose(key, c.step),
+                    _prepend_inverse(m_inv, c),
                     new_deficit,
                     i,
                 )
                 if i in counts:
                     counts[i] -= 1
-            prefix_memo.add((_class_key(aut, lin), depth, last))
+            prefix_memo.add(memo_key)
 
-        enum_prefix(0, (), identity_aut, identity_lin, identity_lin, deficit0, -1)
+        enum_prefix(0, (), identity_key, identity_m, deficit0, -1)
         if matches:
             return make_word(min(matches))
         return None
@@ -449,5 +500,7 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
         else:
             hit = dfs(length)
         if hit is not None:
+            if not verify_factorisation(hit, target):
+                raise RuntimeError(f"search found {hit}, which is not the target class")
             return SearchOutcome(hit, None)
     return certificate()

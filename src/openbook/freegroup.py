@@ -131,6 +131,49 @@ def det(matrix: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+# A 2x2 integer matrix [[a, b], [c, d]], stored as (a, b, c, d).
+SL2 = tuple[int, int, int, int]
+
+
+def sanov_basis(rank: int) -> tuple[SL2, ...]:
+    """Sanov's faithful representation rho of F_rank in SL(2, Z) on the
+    generators: x_k -> A^k B A^-k with A = [[1, 2], [0, 1]] and
+    B = [[1, 0], [2, 1]].
+
+    A and B generate a free group (Sanov 1947).  Substituting
+    x_k -> A^k B^+-1 A^-k into a reduced word leaves a reduced word in A
+    and B, nonempty when the input is: between neighbours x_k, x_l the
+    factor A^(l-k) survives when k != l, and for k = l the B-exponents
+    have equal sign.  So rho is injective.
+    """
+    return tuple(
+        (1 + 4 * k, -8 * k * k, 2, 1 - 4 * k) for k in range(1, rank + 1)
+    )
+
+
+def sanov_substitute(
+    key: Sequence[SL2], words: Iterable[Sequence[int]]
+) -> tuple[SL2, ...]:
+    """Read each word through the generator matrices ``key``.
+
+    With key = rho o phi, the result is rho o phi of the words; given the
+    images of psi, that is rho o phi o psi on the generators.  With
+    ``sanov_basis`` as the key it is rho of the words themselves.
+    """
+    table: dict[int, SL2] = {}
+    for k, (a, b, c, d) in enumerate(key, 1):
+        table[k] = (a, b, c, d)
+        table[-k] = (d, -b, -c, a)
+    out = []
+    for word in words:
+        a, b, c, d = 1, 0, 0, 1
+        for letter in word:
+            e, f, g, h = table[letter]
+            a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+        out.append((a, b, c, d))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class FreeWord:
     """A freely reduced word in F_rank."""

@@ -161,6 +161,42 @@ def test_search_peel(capsys):
     assert "pruned infeasible: 1" in lines
 
 
+def test_search_phi_certificate(capsys):
+    # the paper's obstruction: phi has no positive factorisation up to
+    # length 8; every count of the certificate is pinned
+    argv = (
+        "search", "--surface", "sigma12", "--target", "a b g^-1 d1 d2^4",
+        "--alphabet", "a,b,g,d1,d2,e,s1,s2,s3", "--max-length", "8",
+    )
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (2, "")
+    assert out == (
+        "exhausted: no positive factorisation up to length 8\n"
+        "alphabet: a b g d1 d2 e s1 s2 s3\n"
+        "nodes: 6018\n"
+        "pruned mandatory: 0\n"
+        "pruned homology: 1\n"
+        "pruned memo: 185\n"
+        "pruned canonical: 3610\n"
+        "pruned infeasible: 0\n"
+        "mode: mitm\n"
+    )
+    code, out, err = run(capsys, *argv, "--peel")
+    assert (code, err) == (2, "")
+    assert out == (
+        "mandatory d2: 3\n"
+        "exhausted: no positive factorisation up to length 8\n"
+        "alphabet: a b g d1 d2 e s1 s2 s3\n"
+        "nodes: 5960\n"
+        "pruned mandatory: 10\n"
+        "pruned homology: 0\n"
+        "pruned memo: 185\n"
+        "pruned canonical: 3587\n"
+        "pruned infeasible: 0\n"
+        "mode: mitm\n"
+    )
+
+
 def test_seifert(capsys):
     code, out, _ = run(capsys, "seifert", "--e0", "-1", "--rs", "1/2,1/3,1/4")
     assert code == 0

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import openbook.factorsearch as factorsearch
 from openbook.factorsearch import (
@@ -10,7 +12,16 @@ from openbook.factorsearch import (
     search_positive,
     verify_factorisation,
 )
-from openbook.mcg import TwistWord, compose_classes, equal_classes, evaluate
+from openbook.freegroup import sanov_basis, sanov_substitute
+from openbook.homology import zero_matrix
+from openbook.mcg import (
+    TwistWord,
+    applicable_moves,
+    apply_relation,
+    compose_classes,
+    equal_classes,
+    evaluate,
+)
 from openbook.surface import load_builtin
 
 
@@ -80,6 +91,54 @@ def test_verify_factorisation():
     assert not verify_factorisation(
         TwistWord.parse(spec, catalog, "d1 d2 e^2 a a^-1 g"), target
     )
+
+
+_SIGMA12 = load_builtin("sigma12")
+_sigma12_positive = st.lists(st.sampled_from(sorted(_SIGMA12[1])), max_size=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sigma12_positive, _sigma12_positive, st.randoms(use_true_random=False))
+def test_class_key_is_faithful(u, v, rng):
+    spec, catalog = _SIGMA12
+    curves = {n: factorsearch._Curve(n, catalog[n], spec.genus) for n in catalog}
+    identity = (sanov_basis(spec.rank), zero_matrix(spec.rank))
+
+    def walked(names, start=identity):
+        key = start
+        for name in names:
+            key = factorsearch._right_compose(key, curves[name].step)
+        return key
+
+    def key_of(cls):
+        return (sanov_substitute(sanov_basis(spec.rank), cls.exact.images), cls.D)
+
+    def word(names):
+        return TwistWord(spec, catalog, tuple((n, 1) for n in names))
+
+    cu, cv = evaluate(word(u)), evaluate(word(v))
+    assert walked(u) == key_of(cu)
+    assert (walked(u) == walked(v)) == equal_classes(cu, cv)
+    # a relation move gives an equal class, and so the same key
+    moves = applicable_moves(word(u))
+    if moves:
+        move, position, direction = rng.choice(moves)
+        moved = apply_relation(word(u), move, position, direction)
+        assert walked(n for n, _ in moved.expanded()) == walked(u)
+    # the suffix-table key: u o v^-1 by folding v's inverse twists, last first
+    needed = walked(u)
+    for name in reversed(v):
+        needed = factorsearch._right_compose(needed, curves[name].inverse_step)
+    assert needed == key_of(evaluate(word(u) * word(v).inverse()))
+
+
+def test_found_word_is_verified(monkeypatch):
+    spec, catalog = load_builtin("sigma12")
+    target = evaluate(TwistWord.parse(spec, catalog, "d1 d2 e^2"))
+    problem = SearchProblem(spec, catalog, target, ("s1", "s2", "s3"), 3)
+    monkeypatch.setattr(factorsearch, "verify_factorisation", lambda w, t: False)
+    with pytest.raises(RuntimeError, match="s1 s2 s3"):
+        search_positive(problem)
 
 
 def test_lantern_search():

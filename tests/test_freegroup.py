@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from openbook.freegroup import (
     FreeAutomorphism,
@@ -14,6 +16,8 @@ from openbook.freegroup import (
     exponent_sums,
     invert_letters,
     reduce_letters,
+    sanov_basis,
+    sanov_substitute,
 )
 
 RANDOM_ROUNDS = 300
@@ -161,3 +165,34 @@ def test_pow():
     assert (f ** 3).apply((1,)) == (1, 2, 2, 2)
     assert (f ** -1) == f.inverse()
     assert (f ** 0).is_identity()
+
+
+def _sl2_mul(x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+_reduced_f3 = st.lists(st.sampled_from((1, 2, 3, -1, -2, -3)), max_size=10).map(
+    reduce_letters
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reduced_f3, _reduced_f3)
+def test_sanov_is_faithful(u, v):
+    basis = sanov_basis(3)
+    ru, rv, ruv, rinv = sanov_substitute(basis, (u, v, concat(u, v), invert_letters(u)))
+    assert (ru == (1, 0, 0, 1)) == (u == ())
+    assert (ru == rv) == (u == v)
+    # a homomorphism into SL(2, Z)
+    a, b, c, d = ru
+    assert a * d - b * c == 1
+    assert ruv == _sl2_mul(ru, rv)
+    assert rinv == (d, -b, -c, a)
+    # reading words through rho o phi is rho of their images under phi
+    phi = FreeAutomorphism.from_images(
+        3, [(1,), (2, 1), (3, 2)], [(1,), (2, -1), (3, 1, -2)]
+    )
+    key = sanov_substitute(basis, phi.images)
+    assert sanov_substitute(key, (u,)) == sanov_substitute(basis, (phi.apply(u),))

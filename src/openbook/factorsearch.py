@@ -19,17 +19,17 @@ the classes are, and every memo hit, table hit and tie-break is the one
 exact class equality would give.  Appending a twist c to a word is right
 composition, phi o tau_c, so the new key reads the images of tau_c
 through the old matrices, and D <- D R_c + D_c: both fold in constant
-data of c, and no free-group word is built.  A walk also carries M of
-its word's inverse, M^-1 <- M_{c^-1} M^-1, for the homology prune.
+data of c, and no free-group word is built.
 
 Meet in the middle.  A prefix P completes a suffix S when P o S = T,
 that is P = T o S^-1.  The suffix table is filled in the depth-first
 order of the suffixes, keyed by T o S^-1 - the target's key with the
 inverse twists of S folded in from the right, last letter first - and
-keeps the first suffix per key, the lexicographically least.  A prefix
+keeps the first suffix per key, the least in alphabet order.  A prefix
 looks up its own key.  T o S^-1 determines the class of S, so the table
 holds the same suffixes, and a prefix meets the same ones, as a table
-keyed by the class of S; the least of the matches is the same word.
+keyed by the class of S.  The match returned is the least in alphabet
+order, the word the depth-first walk would have found first.
 
 Pruning never changes the outcome:
 
@@ -41,6 +41,9 @@ Pruning never changes the outcome:
 * homology - a product of k positive transvections I + h q^T differs
   from the identity by a matrix of rank at most k, so a branch dies
   when rank(M_prefix^-1 M_target - I) exceeds the remaining length.
+  M = I + D J and M_prefix is invertible, so that rank is the rank of
+  (D_target - D_prefix) J, the first 2g columns of the difference of
+  the D already in the two keys.
   If some abelianized direction is fixed by every alphabet curve but
   moved by the target, no length works and the search exits at once.
 * memoization - failed subtrees are keyed by (class, remaining budget,
@@ -63,13 +66,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .freegroup import sanov_basis, sanov_substitute
-from .homology import (
-    identity_matrix,
-    mat_mul,
-    matrix_rank,
-    twist_data,
-    zero_matrix,
-)
+from .homology import append_twist, matrix_rank, twist_data, zero_matrix
 from .mcg import (
     MappingClass,
     TwistWord,
@@ -197,17 +194,17 @@ def verify_factorisation(word: TwistWord, target: MappingClass) -> bool:
 
 class _Curve:
     """Per-letter data, precomputed once: the steps of the twist and of
-    its inverse for ``_right_compose``, and h, q for the rank bound."""
+    its inverse for ``_right_compose``, and q for the infeasibility
+    check."""
 
-    __slots__ = ("name", "h", "q", "step", "inverse_step")
+    __slots__ = ("name", "q", "step", "inverse_step")
 
     def __init__(self, name: str, cfg: CurveConfig, genus: int) -> None:
-        # raises unless q.h = 0 and p.Jh = 0, which make the transvections
-        # of the inverse twist I - h q^T and I - Jh p^T
-        twist_data(cfg.h, cfg.q, cfg.p, genus)
+        # raises unless p.Jh = 0, which makes the relative transvection of
+        # the inverse twist I - Jh p^T
+        twist_data(cfg.h, cfg.p, genus)
         jh = tuple(x if i < 2 * genus else 0 for i, x in enumerate(cfg.h))
         self.name = name
-        self.h = cfg.h
         self.q = cfg.q
         self.step = (cfg.aut.images, jh, cfg.h, cfg.p)
         self.inverse_step = (
@@ -219,24 +216,11 @@ def _right_compose(key, step):
     """Class key (rho o phi o psi, D) from the key of phi and the step
     (generator images, Jh, h, +-p) of a twist psi = tau_c^+-1.
 
-    D folds by D R_psi + D_psi; with R_psi = I +- Jh p^T and
-    D_psi = +-h p^T that is the rank-one update D + (D Jh + h)(+-p)^T.
+    D folds by the rank-one update D + (D Jh + h)(+-p)^T.
     """
     rho, d = key
     images, jh, h, p = step
-    u = [sum(x * y for x, y in zip(row, jh)) + hi for row, hi in zip(d, h)]
-    return (
-        sanov_substitute(rho, images),
-        tuple(tuple(x + ui * pj for x, pj in zip(row, p)) for row, ui in zip(d, u)),
-    )
-
-
-def _prepend_inverse(m_inv, c: _Curve):
-    """M of tau_c^-1 o w^-1 from M of w^-1: (I - h q^T) M."""
-    v = [sum(x * y for x, y in zip(c.q, col)) for col in zip(*m_inv)]
-    return tuple(
-        tuple(x - hi * vj for x, vj in zip(row, v)) for row, hi in zip(m_inv, c.h)
-    )
+    return sanov_substitute(rho, images), append_twist(d, jh, h, p)
 
 
 def _q_nullspace(qs: list[tuple[int, ...]], rank: int) -> list[list[Fraction]]:
@@ -282,11 +266,12 @@ def _common_fixed_violated(problem: SearchProblem, curves: list[_Curve]) -> bool
     return False
 
 
-def _rank_bound_ok(m_prefix_inv, target_m, remaining: int, rank: int) -> bool:
-    needed = mat_mul(m_prefix_inv, target_m)
+def _rank_bound_ok(d_prefix, target_genus_cols, remaining: int) -> bool:
+    """rank((D_target - D_prefix) J) <= remaining, from the first 2g
+    columns of each D."""
     delta = tuple(
-        tuple(needed[i][j] - (1 if i == j else 0) for j in range(rank))
-        for i in range(rank)
+        tuple(t - x for t, x in zip(t_row, row))
+        for t_row, row in zip(target_genus_cols, d_prefix)
     )
     return matrix_rank(delta) <= remaining
 
@@ -307,6 +292,7 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
                 )
     target = problem.target
     target_key = (sanov_substitute(sanov_basis(rank), target.exact.images), target.D)
+    target_genus_cols = tuple(row[:2 * surface.genus] for row in target.D)
     index_of = {c.name: i for i, c in enumerate(curves)}
     required = {
         index_of[name]: count
@@ -342,7 +328,6 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
         return certificate()
 
     identity_key = (sanov_basis(rank), zero_matrix(rank))
-    identity_m = identity_matrix(rank)
     deficit0 = sum(required.values())
 
     def make_word(names: tuple[str, ...]) -> TwistWord:
@@ -354,7 +339,7 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
         memo: set = set()
         counts = dict.fromkeys(required, 0)
 
-        def walk(depth, key, m_inv, deficit, last):
+        def walk(depth, key, deficit, last):
             nonlocal nodes
             nodes += 1
             remaining = length - depth
@@ -364,7 +349,7 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
                 if deficit > remaining:
                     prune_counts["mandatory"] += 1
                     return None
-                if not _rank_bound_ok(m_inv, target.M, remaining, rank):
+                if not _rank_bound_ok(key[1], target_genus_cols, remaining):
                     prune_counts["homology"] += 1
                     return None
                 memo_key = (key, remaining, last)
@@ -380,13 +365,7 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
                     counts[i] += 1
                     if counts[i] <= required[i]:
                         new_deficit -= 1
-                hit = walk(
-                    depth + 1,
-                    _right_compose(key, c.step),
-                    _prepend_inverse(m_inv, c),
-                    new_deficit,
-                    i,
-                )
+                hit = walk(depth + 1, _right_compose(key, c.step), new_deficit, i)
                 if i in counts:
                     counts[i] -= 1
                 if hit is not None:
@@ -395,7 +374,7 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
                 memo.add(memo_key)
             return None
 
-        hit = walk(0, identity_key, identity_m, deficit0, -1)
+        hit = walk(0, identity_key, deficit0, -1)
         return make_word(hit) if hit is not None else None
 
     # -- meet-in-the-middle at one exact length -------------------------
@@ -445,23 +424,23 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
 
         enum_suffix(0, (), identity_key, -1)
 
-        matches: list[tuple[str, ...]] = []
+        matches: list[tuple[_Curve, ...]] = []
         counts = dict.fromkeys(required, 0)
         prefix_memo: set = set()
 
-        def enum_prefix(depth, path, key, m_inv, deficit, last):
+        def enum_prefix(depth, path, key, deficit, last):
             nonlocal nodes
             nodes += 1
             if depth == half:
                 got = table.get(key)
                 if got is not None:
-                    matches.append(tuple(c.name for c in path + got))
+                    matches.append(path + got)
                 return
             remaining = length - depth
             if deficit > remaining:
                 prune_counts["mandatory"] += 1
                 return
-            if not _rank_bound_ok(m_inv, target.M, remaining, rank):
+            if not _rank_bound_ok(key[1], target_genus_cols, remaining):
                 prune_counts["homology"] += 1
                 return
             memo_key = (key, depth, last)
@@ -478,20 +457,16 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
                     if counts[i] <= required[i]:
                         new_deficit -= 1
                 enum_prefix(
-                    depth + 1,
-                    path + (c,),
-                    _right_compose(key, c.step),
-                    _prepend_inverse(m_inv, c),
-                    new_deficit,
-                    i,
+                    depth + 1, path + (c,), _right_compose(key, c.step), new_deficit, i
                 )
                 if i in counts:
                     counts[i] -= 1
             prefix_memo.add(memo_key)
 
-        enum_prefix(0, (), identity_key, identity_m, deficit0, -1)
+        enum_prefix(0, (), identity_key, deficit0, -1)
         if matches:
-            return make_word(min(matches))
+            best = min(matches, key=lambda w: [index_of[c.name] for c in w])
+            return make_word(tuple(c.name for c in best))
         return None
 
     for length in range(problem.max_length + 1):

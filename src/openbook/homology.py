@@ -5,18 +5,20 @@ rank of a page is 2g + n - 1, which stays in single digits at desk
 scale), so matrices are plain tuples of tuples of ints and no numeric
 library is involved.
 
-A positive Dehn twist about a curve c acts on the absolute first
-homology of the page by the transvection M = I + h q^T, where h is the
-class of c and q the vector of pairings of the basis with c.  On the
-relative homology H1(page, boundary) it acts by R = I + (J h) p^T with p
-the pairings of the relative basis with c, and J the comparison map that
-keeps the genus coordinates and kills the boundary ones.  The deviation
-D = h p^T measures the failure of the absolute and relative pictures to
-agree; it composes by D <- D_head . R_tail + D_tail and its cokernel is
-the first homology of the closed manifold of the open book: the genus
-columns of D span the image of (phi_* - id) from the Wang sequence of
-the mapping torus, and each arc column encodes the meridian-filling
-relation of one binding component.
+A twist word's linear data is one matrix, the deviation D.  For the
+twist about a curve c, D_c = h p^T, where h is the class of c and p the
+vector of pairings of the relative basis of H1(page, boundary) with c.
+Let J be the comparison map that keeps the 2g genus coordinates and
+kills the boundary ones.  Every catalog curve has absolute pairings
+q = J p, so the twist acts on absolute homology by M = I + h q^T =
+I + D J and on relative homology by R = I + (J h) p^T = I + J D.  Both
+identities survive composition: words compose by
+D_ab = D_a + D_b + D_a J D_b, which is M_a M_b = I + D_ab J, so M and R
+are derived from D and never stored.  The cokernel of D is the first
+homology of the closed manifold of the open book: the genus columns of
+D span the image of (phi_* - id) from the Wang sequence of the mapping
+torus, and each arc column encodes the meridian-filling relation of one
+binding component.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
@@ -241,109 +243,89 @@ def cokernel(a: Sequence[Sequence[int]], rows: int | None = None) -> AbelianGrou
     return AbelianGroup(rows - rank, tuple(d for d in divisors if d > 1))
 
 
-class LinearTwistData(NamedTuple):
-    """The (M, R, D) triple of a twist word: absolute action, relative
-    action, and the relative-to-absolute deviation."""
-
-    M: Matrix
-    R: Matrix
-    D: Matrix
-
-    @property
-    def rank(self) -> int:
-        return len(self.M)
-
-
 def twist_data(
     h: Sequence[int],
-    q: Sequence[int],
     p: Sequence[int],
     genus: int,
     exponent: int = 1,
-) -> LinearTwistData:
-    """Linear data of the ``exponent``-th power of the twist about a
-    curve with class h and pairing vectors q (absolute) and p (relative).
+) -> Matrix:
+    """D = e h p^T of the ``exponent``-th power e of the twist about a
+    curve with class h and relative pairing vector p.
 
-    The power formula M^e = I + e h q^T is exact because q . h = 0 for
-    any curve paired against its own class; that identity is checked
-    rather than assumed.
+    The power formula is exact because p . Jh = 0 for any curve paired
+    against its own class (with q = J p that is q . h = 0); the identity
+    is checked rather than assumed.
     """
     m = len(h)
-    if len(q) != m or len(p) != m:
-        raise ValueError("h, q, p must have equal length")
+    if len(p) != m:
+        raise ValueError("h and p must have equal length")
     if exponent == 0:
         raise ValueError("twist exponent must be nonzero")
-    if dot(q, h) != 0:
-        raise ValueError("q . h must vanish for a twist transvection")
-    jh = tuple(h[i] if i < 2 * genus else 0 for i in range(m))
-    if dot(p, jh) != 0:
+    if dot(p, h[:2 * genus]) != 0:
         raise ValueError("p . Jh must vanish for a twist transvection")
-    ident = identity_matrix(m)
-    return LinearTwistData(
-        M=mat_add(ident, scale_matrix(outer(h, q), exponent)),
-        R=mat_add(ident, scale_matrix(outer(jh, p), exponent)),
-        D=scale_matrix(outer(h, p), exponent),
-    )
+    return scale_matrix(outer(h, p), exponent)
 
 
-def compose_linear(items: Sequence[LinearTwistData]) -> LinearTwistData:
-    """Compose linear twist data, rightmost item acting first.
+def append_twist(
+    d: Matrix, jh: Sequence[int], h: Sequence[int], p: Sequence[int]
+) -> Matrix:
+    """D of the word w tau_c from D of w, for the twist tau_c with
+    D_c = h p^T: D R_c + D_c = D + (D Jh + h) p^T, a rank-one update.
+    Passing e p for p appends tau_c^e instead (exact as p . Jh = 0).
+    """
+    u = [sum(x * y for x, y in zip(row, jh)) + hi for row, hi in zip(d, h)]
+    return tuple(tuple(x + ui * pj for x, pj in zip(row, p)) for row, ui in zip(d, u))
 
-    M and R multiply in word order; the deviation folds by
-    D <- D_head . R_tail + D_tail, matching the evaluation order of
-    twist words.
+
+def compose_linear(items: Sequence[Matrix], genus: int) -> Matrix:
+    """Compose deviation matrices, rightmost item acting first.
+
+    Folds D <- D + D_item + D J D_item, one product per item; J D_item
+    is the first 2g rows of D_item.  A zero matrix stands for the empty
+    word.
     """
     if not items:
         raise ValueError("compose_linear needs at least one item; "
-                         "use identity_linear for the empty word")
+                         "a zero matrix stands for the empty word")
     acc = items[0]
-    m = acc.rank
     for item in items[1:]:
-        if item.rank != m:
+        if len(item) != len(acc):
             raise ValueError("matrix dimension mismatch")
-        acc = LinearTwistData(
-            M=mat_mul(acc.M, item.M),
-            R=mat_mul(acc.R, item.R),
-            D=mat_add(mat_mul(acc.D, item.R), item.D),
+        jd = item[:2 * genus]
+        acc = tuple(
+            tuple(
+                x + y + sum(a * jd_row[k] for a, jd_row in zip(row, jd))
+                for k, (x, y) in enumerate(zip(row, item_row))
+            )
+            for row, item_row in zip(acc, item)
         )
     return acc
 
 
-def identity_linear(rank: int) -> LinearTwistData:
-    ident = identity_matrix(rank)
-    return LinearTwistData(M=ident, R=ident, D=zero_matrix(rank))
-
-
-def invert_linear(data: LinearTwistData) -> LinearTwistData:
-    """Linear data of the inverse word: from D_{w^-1 w} = 0 one gets
-    D_{w^-1} = -D_w R_w^-1."""
-    minv = mat_inverse_unimodular(data.M)
-    rinv = mat_inverse_unimodular(data.R)
-    return LinearTwistData(
-        M=minv,
-        R=rinv,
-        D=scale_matrix(mat_mul(data.D, rinv), -1),
-    )
+def invert_linear(d: Matrix, genus: int) -> Matrix:
+    """D of the inverse word: from D_{w^-1 w} = D_{w^-1} R_w + D_w = 0
+    one gets D_{w^-1} = -D_w R_w^-1, with R_w = I + J D_w."""
+    m = len(d)
+    r = mat_add(identity_matrix(m), mat_mul(j_matrix(genus, m), d))
+    return scale_matrix(mat_mul(d, mat_inverse_unimodular(r)), -1)
 
 
 def h1_of_open_book(ob) -> AbelianGroup:
     """First homology of the closed 3-manifold of an open book.
 
     ``ob`` needs a ``surface`` (with ``genus`` and ``rank``) and a
-    ``word`` whose entries name curves in its catalog; only the (h,q,p)
+    ``word`` whose entries name curves in its catalog; only the (h, p)
     pairing data of those curves is used, so linear-only catalogs
     suffice.  The group is the cokernel of the composed deviation
     matrix D of the monodromy word.
     """
     surface = ob.surface
     word = ob.word
-    items = []
+    items = [zero_matrix(surface.rank)]
     for name, exp in word.entries:
         try:
             cfg = word.catalog[name]
         except KeyError:
             raise ValueError(f"no pairing data for curve {name!r}") from None
-        items.append(twist_data(cfg.h, cfg.q, cfg.p, surface.genus, exp))
-    if not items:
-        return cokernel(zero_matrix(surface.rank))
-    return cokernel(compose_linear(items).D)
+        items.append(twist_data(cfg.h, cfg.p, surface.genus, exp))
+    return cokernel(compose_linear(items, surface.genus))

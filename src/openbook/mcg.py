@@ -4,7 +4,8 @@ A twist word is a finite product of (powers of) Dehn twists about
 catalog curves; the rightmost letter acts first, matching functional
 composition.  Evaluating a word yields both the exact automorphism of
 pi_1 induced on the page (when every curve in the word carries one) and
-the linear (M, R, D) data, which always exists.
+the deviation matrix D, which always exists; the homology actions
+M = I + D J and R = I + J D are derived from it (see ``homology``).
 
 Equality of mapping classes is decided on the pair (exact
 automorphism, deviation matrix D).  The automorphism alone is not
@@ -24,11 +25,15 @@ from typing import Iterable, Mapping, Sequence
 
 from .freegroup import FreeAutomorphism, compose
 from .homology import (
-    LinearTwistData,
+    Matrix,
+    append_twist,
     compose_linear,
-    identity_linear,
+    identity_matrix,
     invert_linear,
-    twist_data,
+    j_matrix,
+    mat_add,
+    mat_mul,
+    zero_matrix,
 )
 from .surface import CurveConfig, SurfaceSpec, relation_tables
 
@@ -132,25 +137,22 @@ class MappingClass:
     """The result of evaluating a twist word.
 
     ``exact`` is None when some curve in the word had no automorphism;
-    the linear data alone is then a necessary invariant only, and
+    the deviation D alone is then a necessary invariant only, and
     equality tests refuse to run on it.
     """
 
     surface: SurfaceSpec
     exact: FreeAutomorphism | None
-    linear: LinearTwistData
+    D: Matrix
 
     @property
-    def M(self):
-        return self.linear.M
-
-    @property
-    def R(self):
-        return self.linear.R
-
-    @property
-    def D(self):
-        return self.linear.D
+    def M(self) -> Matrix:
+        """The action on absolute homology, I + D J (exact because
+        q = J p for every curve, a check of ``validate_catalog``)."""
+        rank = self.surface.rank
+        return mat_add(
+            identity_matrix(rank), mat_mul(self.D, j_matrix(self.surface.genus, rank))
+        )
 
     @property
     def linear_only(self) -> bool:
@@ -161,22 +163,27 @@ def identity_class(surface: SurfaceSpec) -> MappingClass:
     return MappingClass(
         surface,
         FreeAutomorphism.identity(surface.rank),
-        identity_linear(surface.rank),
+        zero_matrix(surface.rank),
     )
 
 
 def evaluate(word: TwistWord) -> MappingClass:
-    """Compose the twists of a word, rightmost letter acting first."""
+    """Compose the twists of a word, rightmost letter acting first.
+
+    D folds one rank-one update per letter (``homology.append_twist``),
+    exact because p . Jh = 0 for every curve, a check of
+    ``validate_catalog``.
+    """
     surface = word.surface
+    g2 = 2 * surface.genus
     exact: FreeAutomorphism | None = FreeAutomorphism.identity(surface.rank)
-    linear = identity_linear(surface.rank)
+    d = zero_matrix(surface.rank)
     for name, exp in word.entries:
         cfg = word.catalog[name]
-        item = twist_data(cfg.h, cfg.q, cfg.p, surface.genus, exp)
-        linear = compose_linear([linear, item])
+        d = append_twist(d, cfg.h[:g2], cfg.h, tuple(exp * x for x in cfg.p))
         if exact is not None:
             exact = compose(exact, cfg.aut ** exp) if cfg.aut else None
-    return MappingClass(surface, exact, linear)
+    return MappingClass(surface, exact, d)
 
 
 def compose_classes(a: MappingClass, b: MappingClass) -> MappingClass:
@@ -186,12 +193,14 @@ def compose_classes(a: MappingClass, b: MappingClass) -> MappingClass:
     exact = None
     if a.exact is not None and b.exact is not None:
         exact = compose(a.exact, b.exact)
-    return MappingClass(a.surface, exact, compose_linear([a.linear, b.linear]))
+    return MappingClass(
+        a.surface, exact, compose_linear([a.D, b.D], a.surface.genus)
+    )
 
 
 def invert_class(a: MappingClass) -> MappingClass:
     exact = a.exact.inverse() if a.exact is not None else None
-    return MappingClass(a.surface, exact, invert_linear(a.linear))
+    return MappingClass(a.surface, exact, invert_linear(a.D, a.surface.genus))
 
 
 def equal_classes(a: MappingClass, b: MappingClass) -> bool:
@@ -235,7 +244,7 @@ def boundary_exponent_delta(word: TwistWord, i: int, j: int) -> int:
     return count_i - count_j
 
 
-_MOVES = ("braid", "commute", "chain", "lantern", "insert_cancel")
+_MOVES = ("braid", "commute", "chain", "lantern")
 
 
 def apply_relation(
@@ -243,18 +252,12 @@ def apply_relation(
     move: str,
     position: int,
     direction: str = "forward",
-    curve: str | None = None,
 ) -> TwistWord:
     """Rewrite a word by one relation move at a position.
 
     Positions index the exponent-expanded letter sequence.  Patterns
     come from the relation tables of the word's surface; the rewritten
     word evaluates to the same mapping class.
-
-    ``insert_cancel`` inserts a cancelling twist pair (the ``curve``
-    argument names it).  Because words are kept normalized, the pair
-    merges away immediately; the move exists for completeness of the
-    relation set and always returns a word equal to the input.
     """
     if move not in _MOVES:
         raise ValueError(f"unknown move {move!r}")
@@ -265,23 +268,6 @@ def apply_relation(
 
     def fail() -> ValueError:
         return ValueError(f"{move} pattern does not match at position {position}")
-
-    if move == "insert_cancel":
-        if direction == "forward":
-            if curve is None or curve not in word.catalog:
-                raise ValueError("insert_cancel needs a catalog curve name")
-            if not 0 <= position <= len(exp):
-                raise fail()
-            exp[position:position] = [(curve, 1), (curve, -1)]
-        else:
-            if not (
-                0 <= position <= len(exp) - 2
-                and exp[position][0] == exp[position + 1][0]
-                and exp[position][1] == -exp[position + 1][1]
-            ):
-                raise fail()
-            del exp[position:position + 2]
-        return TwistWord(word.surface, word.catalog, tuple(exp))
 
     if move == "braid":
         if not 0 <= position <= len(exp) - 3:
@@ -321,8 +307,7 @@ def apply_relation(
 
 def applicable_moves(word: TwistWord) -> tuple[tuple[str, int, str], ...]:
     """All (move, position, direction) triples that apply_relation would
-    accept on this word, in deterministic order.  insert_cancel is
-    omitted (it applies everywhere and rewrites nothing)."""
+    accept on this word, in deterministic order."""
     tables = relation_tables(word.surface.name)
     exp = word.expanded()
     found: list[tuple[str, int, str]] = []

@@ -15,6 +15,9 @@ Conventions, fixed once and locked by the homology outputs downstream:
 * A CurveConfig stores the class h = [c] and the two pairing vectors
   q_k = <basis_k, c> (absolute) and p_k = <relative basis_k, c>, plus
   optionally the exact automorphism of the positive twist about c.
+  The absolute basis pairs through the relative one, so q = J p, with J
+  keeping the 2g genus coordinates; validate_catalog checks it, and the
+  linear algebra downstream derives every homology action from h and p.
 
 The builtin catalogs cover the one- and two-boundary genus-1 pages.  The
 two partition-curve automorphisms of the two-boundary page (s2, s3) and
@@ -355,8 +358,8 @@ def _word_aut(catalog: Mapping[str, CurveConfig], names: Sequence[str]) -> FreeA
 
 def _word_linear(surface: SurfaceSpec, catalog, names: Sequence[str]):
     return compose_linear(
-        [twist_data(catalog[n].h, catalog[n].q, catalog[n].p, surface.genus)
-         for n in names]
+        [twist_data(catalog[n].h, catalog[n].p, surface.genus) for n in names],
+        surface.genus,
     )
 
 
@@ -376,6 +379,7 @@ def validate_catalog(surface: SurfaceSpec, catalog: Mapping[str, CurveConfig]) -
     genuinely conjugates b_i).
     """
     m = surface.rank
+    g2 = 2 * surface.genus
     checks: list[CheckResult] = []
 
     def add(name: str, failures: list[str]) -> None:
@@ -391,10 +395,9 @@ def validate_catalog(surface: SurfaceSpec, catalog: Mapping[str, CurveConfig]) -
         if cfg.rank != m:
             failures.append(f"curve {key}: vectors have length {cfg.rank}, want {m}")
             continue
-        if dot(cfg.q, cfg.h) != 0:
-            failures.append(f"curve {key}: q . h != 0")
-        jh = tuple(cfg.h[i] if i < 2 * surface.genus else 0 for i in range(m))
-        if dot(cfg.p, jh) != 0:
+        if cfg.q != cfg.p[:g2] + (0,) * (m - g2):
+            failures.append(f"curve {key}: q != J p")
+        if dot(cfg.p, cfg.h[:g2]) != 0:
             failures.append(f"curve {key}: p . Jh != 0")
         if cfg.boundary_parallel_to is not None and not (
             1 <= cfg.boundary_parallel_to <= surface.boundary
@@ -426,7 +429,6 @@ def validate_catalog(surface: SurfaceSpec, catalog: Mapping[str, CurveConfig]) -
     add("separating_q", failures)
 
     failures = []
-    g2 = 2 * surface.genus
     for key, cfg in catalog.items():
         i = cfg.boundary_parallel_to
         if i is None:

@@ -108,6 +108,16 @@ def test_search_found(capsys):
     )
     assert (code, out) == (0, "found: s1 s2 s3\n")
 
+    # both search modes return the least word in alphabet order, not in
+    # name order: length 6 switches to meet-in-the-middle
+    for max_length in ("5", "6"):
+        code, out, _ = run(
+            capsys,
+            "search", "--surface", "sigma12", "--target", "g d1",
+            "--alphabet", "a,b,g,d1,d2,e,s1,s2,s3", "--max-length", max_length,
+        )
+        assert (code, out) == (0, "found: g d1\n")
+
 
 def test_search_exhausted(capsys):
     code, out, _ = run(
@@ -291,6 +301,18 @@ def test_malformed_config_files(tmp_path, capsys):
     assert (code, err) == (
         1, "error: curve 'd': boundary_parallel_to must be an integer\n"
     )
+
+    # absolute pairings that are not J p: every other check would pass,
+    # and M derived from D would disagree with q
+    path.write_text(json.dumps({
+        "genus": 1, "boundary": 3,
+        "curves": [{"name": "a", "h": [1, 0, 0, 0], "p": [0, 1, 0, 0],
+                    "q": [0, 1, 0, 1]}],
+    }))
+    code, out, err = run(capsys, "validate", "--config", str(path))
+    assert (code, out, err) == (1, "structure: FAIL (curve a: q != J p)\n", "")
+    code, out, err = run(capsys, "eval", "--config", str(path), "--word", "a", "--json")
+    assert (code, out, err) == (1, "", "error: config validation failed: structure\n")
 
 
 def test_help_and_unknown(capsys):

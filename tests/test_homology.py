@@ -7,19 +7,20 @@ from hypothesis import strategies as st
 
 from openbook.homology import (
     AbelianGroup,
-    LinearTwistData,
     cokernel,
     compose_linear,
-    identity_linear,
     identity_matrix,
     invert_linear,
     j_matrix,
+    mat_add,
     mat_inverse_unimodular,
     mat_mul,
     matrix_rank,
     smith_normal_form,
     twist_data,
+    zero_matrix,
 )
+from openbook.mcg import TwistWord, evaluate
 from openbook.surface import load_builtin
 
 RANDOM_ROUNDS = 200
@@ -114,55 +115,77 @@ def test_matrix_helpers():
 
 
 def test_twist_data_validation():
-    # q must pair to zero with h, p with Jh
+    # p must pair to zero with Jh
     with pytest.raises(ValueError):
-        twist_data((1, 0, 0), (1, 0, 0), (0, 1, 0), genus=1)
+        twist_data((1, 0, 0), (1, 0, 0), genus=1)
     with pytest.raises(ValueError):
-        twist_data((1, 0, 0), (0, 1, 0), (1, 0, 0), genus=1)
+        twist_data((1, 0), (0, 1, 0), genus=1)
     with pytest.raises(ValueError):
-        twist_data((1, 0), (0, 1, 0), (0, 1, 0), genus=1)
-    with pytest.raises(ValueError):
-        twist_data((1, 0, 0), (0, 1, 0), (0, 1, 0), genus=1, exponent=0)
+        twist_data((1, 0, 0), (0, 1, 0), genus=1, exponent=0)
+    # a boundary coordinate of p pairs with nothing in Jh
+    assert twist_data((0, 0, 1), (0, 0, 1), genus=1) == ((0, 0, 0),) * 2 + ((0, 0, 1),)
 
 
 def test_twist_data_powers():
     _, catalog = load_builtin("sigma12")
     a = catalog["a"]
-    single = twist_data(a.h, a.q, a.p, 1)
-    cubed = twist_data(a.h, a.q, a.p, 1, 3)
-    assert compose_linear([single, single, single]) == cubed
-    inv = twist_data(a.h, a.q, a.p, 1, -1)
-    assert compose_linear([single, inv]) == identity_linear(3)
+    single = twist_data(a.h, a.p, 1)
+    cubed = twist_data(a.h, a.p, 1, 3)
+    assert compose_linear([single, single, single], 1) == cubed
+    inv = twist_data(a.h, a.p, 1, -1)
+    assert compose_linear([single, inv], 1) == zero_matrix(3)
 
 
-def test_compose_linear_invariant():
-    # R = I + J D holds for every composite of catalog twists
-    rng = random.Random(31)
-    _, catalog = load_builtin("sigma12")
-    configs = list(catalog.values())
-    j = j_matrix(1, 3)
-    for _ in range(RANDOM_ROUNDS):
-        items = [
-            twist_data(c.h, c.q, c.p, 1, rng.choice((-2, -1, 1, 2)))
-            for c in (rng.choice(configs) for _ in range(rng.randint(1, 6)))
-        ]
-        data = compose_linear(items)
-        assert data.R == tuple(
-            tuple((1 if i == k else 0) + sum(j[i][t] * data.D[t][k] for t in range(3)) for k in range(3))
-            for i in range(3)
-        )
-        inv = invert_linear(data)
-        assert compose_linear([data, inv]) == identity_linear(3)
-        assert compose_linear([inv, data]) == identity_linear(3)
+SIGMA12_SPEC, SIGMA12 = load_builtin("sigma12")
+
+
+def _times_transvection(m, u, v, e):
+    """m (I + e u v^T), multiplied out."""
+    mu = [sum(x * y for x, y in zip(row, u)) for row in m]
+    return tuple(
+        tuple(x + e * a * b for x, b in zip(row, v)) for row, a in zip(m, mu)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(sorted(SIGMA12)), st.sampled_from((-3, -2, -1, 1, 2, 3))
+        ),
+        max_size=8,
+    )
+)
+def test_compose_linear_invariant(entries):
+    # M = I + D J and R = I + J D are derived from D; check them against the
+    # products of the catalog's transvections I + e h q^T and I + e Jh p^T
+    genus, rank = SIGMA12_SPEC.genus, SIGMA12_SPEC.rank
+    j = j_matrix(genus, rank)
+    m_direct = r_direct = identity_matrix(rank)
+    items = [zero_matrix(rank)]
+    for name, e in entries:
+        c = SIGMA12[name]
+        jh = tuple(x if i < 2 * genus else 0 for i, x in enumerate(c.h))
+        m_direct = _times_transvection(m_direct, c.h, c.q, e)
+        r_direct = _times_transvection(r_direct, jh, c.p, e)
+        items.append(twist_data(c.h, c.p, genus, e))
+    d = compose_linear(items, genus)
+    cls = evaluate(TwistWord(SIGMA12_SPEC, SIGMA12, tuple(entries)))
+    assert cls.D == d
+    assert cls.M == m_direct
+    assert mat_add(identity_matrix(rank), mat_mul(j, d)) == r_direct
+    inv = invert_linear(d, genus)
+    assert compose_linear([d, inv], genus) == zero_matrix(rank)
+    assert compose_linear([inv, d], genus) == zero_matrix(rank)
 
 
 def test_compose_linear_empty():
+    # a zero matrix stands for the empty word; an empty list has no rank
     with pytest.raises(ValueError):
-        compose_linear([])
-    assert identity_linear(2).M == identity_matrix(2)
-
-
-def test_linear_rank_property():
-    data = identity_linear(4)
-    assert data.rank == 4
-    assert isinstance(data, LinearTwistData)
+        compose_linear([], 1)
+    _, catalog = load_builtin("sigma12")
+    d = twist_data(catalog["s2"].h, catalog["s2"].p, 1)
+    assert compose_linear([zero_matrix(3), d], 1) == d
+    assert compose_linear([d, zero_matrix(3)], 1) == d
+    with pytest.raises(ValueError):
+        compose_linear([d, zero_matrix(2)], 1)

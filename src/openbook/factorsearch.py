@@ -1,14 +1,26 @@
 """Bounded exhaustive search for positive factorisations.
 
 Words are searched in iterative-deepening order: all lengths from 0 up
-to the bound, and within one length depth-first in alphabet order, so
-the first hit is the lexicographically least shortest factorisation.
-Once the tree for a length would exceed a size threshold the search
-switches to a meet-in-the-middle strategy - enumerate canonical
-suffixes into a table, then scan canonical prefixes for the one that
-completes them - which visits the same solution set and selects the
-same word.  Every word found is checked once with
-``verify_factorisation`` before it is returned.
+to the bound, and within one length in alphabet order, so the first hit
+is the lexicographically least shortest factorisation.  Every word
+found is checked once with ``verify_factorisation`` before it is
+returned.
+
+One routine, ``expand(stop, length, leaf, bounded)``, walks the
+canonical words of ``stop`` letters depth-first in alphabet order,
+carrying the path, its class key and the mandatory deficit, and returns
+the first non-None ``leaf(path, key)``.  Memo and canonical order apply
+whenever the search prunes; with ``bounded`` it also cuts branches that
+cannot reach the target within ``length`` letters.  The two search
+modes differ only in their leaves:
+
+* depth-first - one bounded walk of all L letters, whose leaf returns
+  the path when its key is the target's;
+* meet in the middle - used from length 2 on once len(alphabet) **
+  max_length exceeds ``MITM_THRESHOLD``: an unbounded walk of L // 2
+  letters stores each suffix in a table, then a bounded walk of the
+  other letters returns the first prefix whose key the table holds,
+  joined to its suffix.
 
 Class keys.  A mapping class is the pair (automorphism phi of pi_1, D);
 the search keys it by (rho o phi, D), where rho is Sanov's faithful
@@ -25,11 +37,13 @@ Meet in the middle.  A prefix P completes a suffix S when P o S = T,
 that is P = T o S^-1.  The suffix table is filled in the depth-first
 order of the suffixes, keyed by T o S^-1 - the target's key with the
 inverse twists of S folded in from the right, last letter first - and
-keeps the first suffix per key, the least in alphabet order.  A prefix
-looks up its own key.  T o S^-1 determines the class of S, so the table
-holds the same suffixes, and a prefix meets the same ones, as a table
-keyed by the class of S.  The match returned is the least in alphabet
-order, the word the depth-first walk would have found first.
+keeps the first suffix per key, the least of its class in alphabet
+order.  A prefix looks up its own key, so it meets at most one suffix
+class and gets that class's least suffix.  Prefixes come in alphabet
+order, and memo skips only a repeat of an earlier prefix's (class,
+depth, last letter), whose leaves have the same keys and so found no
+match either.  The first prefix that matches therefore gives the least
+match, the word the depth-first walk would have found first.
 
 Pruning never changes the outcome:
 
@@ -44,25 +58,30 @@ Pruning never changes the outcome:
   M = I + D J and M_prefix is invertible, so that rank is the rank of
   (D_target - D_prefix) J, the first 2g columns of the difference of
   the D already in the two keys.
-  If some abelianized direction is fixed by every alphabet curve but
-  moved by the target, no length works and the search exits at once.
-* memoization - failed subtrees are keyed by (class, remaining budget,
-  last letter).  Class equality transports completions: a solution
-  through a repeat of the key would complete the first visit too, so
-  a recorded failure cannot hide one.  The last letter is part of the
-  key because of the next rule.
-* canonical order - if two adjacent letters commute (per the surface's
-  verified relation tables), only the ordering that respects alphabet
-  order is explored.  Every word is rewritable to this canonical form
-  by class-preserving swaps, and the lexicographically least solution
-  is already canonical, so neither exhaustiveness nor the tie-break is
-  affected.
+  If some abelianized vector is fixed by every alphabet transvection
+  but moved by the target, no length works and the search exits at
+  once.  The transvections fix the common kernel of their q, and
+  M_target - I = D_target J kills it exactly when its rows lie in the
+  span of the q, so the test is one rank comparison:
+  rank(q's + rows of D_target J) > rank(q's).
+* memoization - failed subtrees are keyed by (class, depth, last
+  letter); within one walk the depth fixes the remaining budget.  Class
+  equality transports completions: a solution through a repeat of the
+  key would complete the first visit too, so a recorded failure cannot
+  hide one.  The last letter is part of the key because of the next
+  rule.
+* canonical order - if two adjacent letters commute (pairs whose two
+  orders give one class key, found once per search for the alphabet;
+  the key is faithful, so this is exact on any page), only the ordering
+  that respects alphabet order is explored.  Every word is rewritable to
+  this canonical form by class-preserving swaps, and the
+  lexicographically least solution is already canonical, so neither
+  exhaustiveness nor the tie-break is affected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping
 
 from .freegroup import sanov_basis, sanov_substitute
@@ -74,13 +93,7 @@ from .mcg import (
     equal_classes,
     evaluate,
 )
-from .surface import (
-    CurveConfig,
-    SurfaceSpec,
-    boundary_parallel_curve,
-    has_relation_tables,
-    relation_tables,
-)
+from .surface import CurveConfig, SurfaceSpec, boundary_parallel_curve
 
 # above this many words in a single level, meet-in-the-middle replaces
 # the depth-first walk
@@ -194,8 +207,8 @@ def verify_factorisation(word: TwistWord, target: MappingClass) -> bool:
 
 class _Curve:
     """Per-letter data, precomputed once: the steps of the twist and of
-    its inverse for ``_right_compose``, and q for the infeasibility
-    check."""
+    its inverse for ``_right_compose``, and the genus coordinates of q
+    for the infeasibility check."""
 
     __slots__ = ("name", "q", "step", "inverse_step")
 
@@ -205,7 +218,7 @@ class _Curve:
         twist_data(cfg.h, cfg.p, genus)
         jh = tuple(x if i < 2 * genus else 0 for i, x in enumerate(cfg.h))
         self.name = name
-        self.q = cfg.q
+        self.q = cfg.q[:2 * genus]
         self.step = (cfg.aut.images, jh, cfg.h, cfg.p)
         self.inverse_step = (
             cfg.aut.inverse_images, jh, cfg.h, tuple(-x for x in cfg.p)
@@ -223,47 +236,12 @@ def _right_compose(key, step):
     return sanov_substitute(rho, images), append_twist(d, jh, h, p)
 
 
-def _q_nullspace(qs: list[tuple[int, ...]], rank: int) -> list[list[Fraction]]:
-    """Basis of { v : q.v = 0 for all q }, by rational elimination."""
-    m = [[Fraction(q[j]) for j in range(rank)] for q in qs]
-    pivots: list[int] = []
-    r = 0
-    for col in range(rank):
-        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        m[r] = [v / m[r][col] for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-    basis = []
-    for j in (j for j in range(rank) if j not in pivots):
-        v = [Fraction(0)] * rank
-        v[j] = Fraction(1)
-        for row, col in enumerate(pivots):
-            v[col] = -m[row][j]
-        basis.append(v)
-    return basis
-
-
-def _common_fixed_violated(problem: SearchProblem, curves: list[_Curve]) -> bool:
+def _moves_common_fixed(qs, target_genus_cols) -> bool:
     """True when the target moves an abelianized vector that every
-    alphabet transvection fixes, making every length infeasible."""
-    rank = problem.surface.rank
-    qs = [c.q for c in curves]
-    target_m = problem.target.M
-    for v in _q_nullspace(qs, rank):
-        moved = any(
-            sum(target_m[i][k] * v[k] for k in range(rank)) != v[i]
-            for i in range(rank)
-        )
-        if moved:
-            return True
-    return False
+    alphabet transvection fixes: the rows of D_target J leave the span
+    of the q.  Both vanish off the first 2g coordinates, which is all
+    the caller passes."""
+    return matrix_rank(qs + target_genus_cols) > matrix_rank(qs)
 
 
 def _rank_bound_ok(d_prefix, target_genus_cols, remaining: int) -> bool:
@@ -282,14 +260,17 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
     surface = problem.surface
     rank = surface.rank
     curves = [_Curve(n, problem.catalog[n], surface.genus) for n in problem.alphabet]
-    commute_idx: dict[tuple[int, int], bool] = {}
-    if prune and has_relation_tables(surface.name):
-        tables = relation_tables(surface.name)
-        for i, ci in enumerate(curves):
-            for j, cj in enumerate(curves):
-                commute_idx[(i, j)] = ci.name != cj.name and tables.commutes(
-                    ci.name, cj.name
-                )
+    identity_key = (sanov_basis(rank), zero_matrix(rank))
+    # (j, i) for i < j when the two orders of the letters give one class
+    commute: set[tuple[int, int]] = set()
+    if prune:
+        single = [_right_compose(identity_key, c.step) for c in curves]
+        for j, cj in enumerate(curves):
+            for i, ci in enumerate(curves[:j]):
+                if _right_compose(single[j], ci.step) == _right_compose(
+                    single[i], cj.step
+                ):
+                    commute.add((j, i))
     target = problem.target
     target_key = (sanov_substitute(sanov_basis(rank), target.exact.images), target.D)
     target_genus_cols = tuple(row[:2 * surface.genus] for row in target.D)
@@ -306,7 +287,11 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
     prune_counts = dict.fromkeys(_PRUNE_NAMES, 0)
     nodes = 0
     mode = "iddfs"
-    if prune and curves and len(curves) ** problem.max_length > MITM_THRESHOLD:
+    # n >= 2 letters give n**L > MITM_THRESHOLD once L reaches the
+    # threshold's bit length, so capping the exponent there keeps the
+    # decision without forming a huge power
+    cap = min(problem.max_length, MITM_THRESHOLD.bit_length())
+    if prune and curves and len(curves) ** cap > MITM_THRESHOLD:
         mode = "mitm"
 
     def certificate() -> SearchOutcome:
@@ -322,42 +307,44 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
         )
 
     if unreachable_mandatory or (
-        prune and curves and _common_fixed_violated(problem, curves)
+        prune
+        and curves
+        and _moves_common_fixed(tuple(c.q for c in curves), target_genus_cols)
     ):
         prune_counts["infeasible"] = 1
         return certificate()
 
-    identity_key = (sanov_basis(rank), zero_matrix(rank))
     deficit0 = sum(required.values())
 
-    def make_word(names: tuple[str, ...]) -> TwistWord:
-        return TwistWord(surface, problem.catalog, tuple((n, 1) for n in names))
-
-    # -- depth-first walk at one exact length ---------------------------
-    def dfs(length: int) -> TwistWord | None:
-        nonlocal nodes
+    def expand(stop, length, leaf, bounded):
+        """Walk the canonical words of ``stop`` letters depth-first in
+        alphabet order and return the first non-None ``leaf(path, key)``.
+        With ``bounded``, cut branches that cannot be completed to a
+        target word of ``length`` letters."""
         memo: set = set()
         counts = dict.fromkeys(required, 0)
 
-        def walk(depth, key, deficit, last):
+        def visit(path, key, deficit, last):
             nonlocal nodes
             nodes += 1
-            remaining = length - depth
-            if remaining == 0:
-                return () if key == target_key else None
+            depth = len(path)
+            if depth == stop:
+                return leaf(path, key)
             if prune:
-                if deficit > remaining:
-                    prune_counts["mandatory"] += 1
-                    return None
-                if not _rank_bound_ok(key[1], target_genus_cols, remaining):
-                    prune_counts["homology"] += 1
-                    return None
-                memo_key = (key, remaining, last)
+                if bounded:
+                    remaining = length - depth
+                    if deficit > remaining:
+                        prune_counts["mandatory"] += 1
+                        return None
+                    if not _rank_bound_ok(key[1], target_genus_cols, remaining):
+                        prune_counts["homology"] += 1
+                        return None
+                memo_key = (key, depth, last)
                 if memo_key in memo:
                     prune_counts["memo"] += 1
                     return None
             for i, c in enumerate(curves):
-                if prune and last >= 0 and i < last and commute_idx.get((last, i)):
+                if (last, i) in commute:
                     prune_counts["canonical"] += 1
                     continue
                 new_deficit = deficit
@@ -365,29 +352,21 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
                     counts[i] += 1
                     if counts[i] <= required[i]:
                         new_deficit -= 1
-                hit = walk(depth + 1, _right_compose(key, c.step), new_deficit, i)
+                hit = visit(path + (c,), _right_compose(key, c.step), new_deficit, i)
                 if i in counts:
                     counts[i] -= 1
                 if hit is not None:
-                    return (c.name,) + hit
+                    return hit
             if prune:
                 memo.add(memo_key)
             return None
 
-        hit = walk(0, identity_key, deficit0, -1)
-        return make_word(hit) if hit is not None else None
+        return visit((), identity_key, deficit0, -1)
 
-    # -- meet-in-the-middle at one exact length -------------------------
-    def mitm(length: int) -> TwistWord | None:
-        nonlocal nodes
-        half = (length + 1) // 2
-        suffix_len = length - half
-
-        # canonical suffixes S of exact length, keyed by T o S^-1;
-        # depth-first order makes the stored representative the
-        # lexicographically least word of its class
+    def meet_in_middle(length: int):
+        # canonical suffixes S, keyed by T o S^-1; the first stored per key
+        # is the least suffix of its class
         table: dict = {}
-        seen: set = set()
         # T o S'^-1 for the proper tails S' of suffixes: suffixes that end
         # alike share the folds of their common tail
         tail_keys: dict = {(): target_key}
@@ -400,81 +379,26 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
                 key = tail_keys[tail] = needed(tail)
             return _right_compose(key, path[0].inverse_step)
 
-        def enum_suffix(depth, path, key, last):
-            nonlocal nodes
-            nodes += 1
-            if depth == suffix_len:
-                table.setdefault(needed(path), path)
-                return
-            memo_key = (key, suffix_len - depth, last)
-            if memo_key in seen:
-                prune_counts["memo"] += 1
-                return
-            seen.add(memo_key)
-            for i, c in enumerate(curves):
-                if last >= 0 and i < last and commute_idx.get((last, i)):
-                    prune_counts["canonical"] += 1
-                    continue
-                enum_suffix(
-                    depth + 1,
-                    path + (c,),
-                    _right_compose(key, c.step),
-                    i,
-                )
+        def store(path, key):
+            table.setdefault(needed(path), path)
 
-        enum_suffix(0, (), identity_key, -1)
+        def complete(path, key):
+            suffix = table.get(key)
+            return None if suffix is None else path + suffix
 
-        matches: list[tuple[_Curve, ...]] = []
-        counts = dict.fromkeys(required, 0)
-        prefix_memo: set = set()
+        expand(length // 2, length, store, False)
+        return expand(length - length // 2, length, complete, True)
 
-        def enum_prefix(depth, path, key, deficit, last):
-            nonlocal nodes
-            nodes += 1
-            if depth == half:
-                got = table.get(key)
-                if got is not None:
-                    matches.append(path + got)
-                return
-            remaining = length - depth
-            if deficit > remaining:
-                prune_counts["mandatory"] += 1
-                return
-            if not _rank_bound_ok(key[1], target_genus_cols, remaining):
-                prune_counts["homology"] += 1
-                return
-            memo_key = (key, depth, last)
-            if memo_key in prefix_memo:
-                prune_counts["memo"] += 1
-                return
-            for i, c in enumerate(curves):
-                if last >= 0 and i < last and commute_idx.get((last, i)):
-                    prune_counts["canonical"] += 1
-                    continue
-                new_deficit = deficit
-                if i in counts:
-                    counts[i] += 1
-                    if counts[i] <= required[i]:
-                        new_deficit -= 1
-                enum_prefix(
-                    depth + 1, path + (c,), _right_compose(key, c.step), new_deficit, i
-                )
-                if i in counts:
-                    counts[i] -= 1
-            prefix_memo.add(memo_key)
-
-        enum_prefix(0, (), identity_key, deficit0, -1)
-        if matches:
-            best = min(matches, key=lambda w: [index_of[c.name] for c in w])
-            return make_word(tuple(c.name for c in best))
-        return None
+    def at_target(path, key):
+        return path if key == target_key else None
 
     for length in range(problem.max_length + 1):
         if mode == "mitm" and length >= 2:
-            hit = mitm(length)
+            path = meet_in_middle(length)
         else:
-            hit = dfs(length)
-        if hit is not None:
+            path = expand(length, length, at_target, True)
+        if path is not None:
+            hit = TwistWord(surface, problem.catalog, tuple((c.name, 1) for c in path))
             if not verify_factorisation(hit, target):
                 raise RuntimeError(f"search found {hit}, which is not the target class")
             return SearchOutcome(hit, None)

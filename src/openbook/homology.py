@@ -76,22 +76,21 @@ def j_matrix(genus: int, rank: int) -> Matrix:
 
 def matrix_rank(a: Sequence[Sequence[int]]) -> int:
     """Rank over the rationals, by fraction-free elimination."""
-    m = [[Fraction(x) for x in row] for row in a]
+    m = [list(row) for row in a]
     rank = 0
     cols = len(m[0]) if m else 0
-    row = 0
     for col in range(cols):
-        pivot = next((i for i in range(row, len(m)) if m[i][col] != 0), None)
+        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
         if pivot is None:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        for i in range(row + 1, len(m)):
-            if m[i][col] != 0:
-                factor = m[i][col] / m[row][col]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[row])]
-        row += 1
+        m[rank], m[pivot] = m[pivot], m[rank]
+        p = m[rank][col]
+        for i in range(rank + 1, len(m)):
+            f = m[i][col]
+            if f != 0:
+                m[i] = [p * x - f * y for x, y in zip(m[i], m[rank])]
         rank += 1
-        if row == len(m):
+        if rank == len(m):
             break
     return rank
 

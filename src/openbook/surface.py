@@ -304,10 +304,6 @@ _TABLES = {
 }
 
 
-def has_relation_tables(surface_name: str) -> bool:
-    return surface_name in _TABLES
-
-
 def relation_tables(surface_name: str) -> RelationTables:
     try:
         return _TABLES[surface_name]

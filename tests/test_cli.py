@@ -118,6 +118,15 @@ def test_search_found(capsys):
         )
         assert (code, out) == (0, "found: g d1\n")
 
+    # the mode is chosen without forming len(alphabet) ** max_length, so a
+    # huge bound still finds a length-1 word at once
+    code, out, _ = run(
+        capsys,
+        "search", "--surface", "sigma11", "--target", "a",
+        "--alphabet", "a,b", "--max-length", "1000000000000",
+    )
+    assert (code, out) == (0, "found: a\n")
+
 
 def test_search_exhausted(capsys):
     code, out, _ = run(

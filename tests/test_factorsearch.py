@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from openbook.mcg import (
     evaluate,
 )
 from openbook.surface import load_builtin
+from openbook.surgery import OpenBook, surgery
 
 
 def brute_force(surface, catalog, target, alphabet, max_length):
@@ -184,18 +186,73 @@ def test_search_matches_brute_force():
     assert not search_positive(SearchProblem(spec, catalog, target, alphabet, 3)).found
 
 
-def test_pruning_does_not_change_answers():
-    rng = random.Random(29)
-    spec, catalog = load_builtin("sigma12")
-    alphabet = ("a", "b", "d1", "e")
-    for _ in range(8):
-        text = " ".join(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
-        target = evaluate(TwistWord.parse(spec, catalog, text))
-        problem = SearchProblem(spec, catalog, target, alphabet, 4)
-        pruned = search_positive(problem)
-        plain = search_positive(problem, prune=False)
-        assert pruned.word == plain.word
-        assert pruned.found == plain.found
+def _sigma13_page():
+    """The genus-one, three-boundary page of surgery r = 7/2 on the
+    binding of the trefoil book."""
+    spec, catalog = load_builtin("sigma11")
+    book = OpenBook.standard(spec, TwistWord.parse(spec, catalog, "a b"))
+    out = surgery(book, "1", Fraction(7, 2), 1)
+    return out.surface, out.word.catalog, out.word
+
+
+_SIGMA13 = _sigma13_page()
+_PAGES = {name: load_builtin(name) for name in ("sigma11", "sigma12")}
+_PAGES["sigma13"] = _SIGMA13[:2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_PAGES)), st.data())
+def test_pruning_does_not_change_answers(page, data):
+    # unpruned, pruned depth-first and pruned meet-in-the-middle search
+    # return the same word or all exhaust, on any page: the commuting
+    # pairs of the canonical prune are derived from class keys
+    spec, catalog = _PAGES[page]
+    exact = sorted(n for n in catalog if catalog[n].aut is not None)
+    alphabet = tuple(
+        data.draw(st.lists(st.sampled_from(exact), min_size=1, max_size=4, unique=True))
+    )
+    max_length = data.draw(st.integers(min_value=0, max_value=4))
+    if data.draw(st.booleans()):
+        letters = st.lists(st.sampled_from(alphabet)) | st.permutations(alphabet)
+        text = " ".join(data.draw(letters)[:max_length])
+    else:
+        powers = st.tuples(st.sampled_from(exact), st.sampled_from((-1, 1, 2)))
+        text = " ".join(f"{n}^{e}" for n, e in data.draw(st.lists(powers, max_size=4)))
+    word = TwistWord.parse(spec, catalog, text)
+    mandatory = peel_boundary(word)[1] if data.draw(st.booleans()) else {}
+    problem = SearchProblem(
+        spec, catalog, evaluate(word), alphabet, max_length, mandatory
+    )
+    plain = search_positive(problem, prune=False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factorsearch, "MITM_THRESHOLD", 10**9)
+        depth_first = search_positive(problem)
+        mp.setattr(factorsearch, "MITM_THRESHOLD", 1)
+        halved = search_positive(problem)
+    assert plain.word == depth_first.word == halved.word
+    if halved.certificate:
+        mitm = len(alphabet) > 1 and max_length > 0
+        assert halved.certificate.mode == ("mitm" if mitm else "iddfs")
+
+
+def test_derived_commutation_on_sigma13():
+    # the sigma13 page has no builtin relation tables; its commuting
+    # pairs come from class keys, and the certificate shows the prunes
+    spec, catalog, word = _SIGMA13
+    assert str(word) == "a b g^-1 d1 g3^2 d3 d2"
+    alphabet = ("a", "b", "g", "d1", "g3", "e", "s1", "d2", "d3")
+    outcome = search_positive(SearchProblem(spec, catalog, evaluate(word), alphabet, 5))
+    assert outcome.certificate.lines() == (
+        "exhausted: no positive factorisation up to length 5",
+        "alphabet: a b g d1 g3 e s1 d2 d3",
+        "nodes: 1969",
+        "pruned mandatory: 0",
+        "pruned homology: 393",
+        "pruned memo: 145",
+        "pruned canonical: 2258",
+        "pruned infeasible: 0",
+        "mode: iddfs",
+    )
 
 
 def test_meet_in_middle_matches_depth_first(monkeypatch):

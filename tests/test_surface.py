@@ -7,7 +7,6 @@ from openbook.surface import (
     boundary_parallel_curve,
     catalog_from_json,
     catalog_to_json,
-    has_relation_tables,
     load_builtin,
     relation_tables,
     stabilize,
@@ -86,8 +85,6 @@ def test_relation_tables():
     assert tables.chain == (("a", "b") * 6, ("d",))
     assert tables.lantern is None
 
-    assert has_relation_tables("sigma11") and has_relation_tables("sigma12")
-    assert not has_relation_tables("sigma13")
     with pytest.raises(ValueError):
         relation_tables("sigma13")
 

@@ -81,14 +81,19 @@ def _parse_args(tokens: list[str], allowed: set[str], positionals: int = 0):
     return flags, rest
 
 
-def load_config(path: str):
-    """Load and validate a catalog config file."""
+def _read_config(path: str):
+    """Read and parse a catalog config file, without validating it."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from None
-    spec, catalog = catalog_from_json(text)
+    return catalog_from_json(text)
+
+
+def load_config(path: str):
+    """Load and validate a catalog config file."""
+    spec, catalog = _read_config(path)
     report = validate_catalog(spec, catalog)
     if not report.ok:
         failing = ", ".join(c.name for c in report.failing())
@@ -96,14 +101,17 @@ def load_config(path: str):
     return spec, catalog
 
 
-def _load_surface(flags):
+def _surface_flags(flags):
     name = flags.get("--surface")
     path = flags.get("--config")
     if (name is None) == (path is None):
         raise UsageError("need exactly one of --surface and --config")
-    if path is not None:
-        return load_config(path)
-    return load_builtin(name)
+    return name, path
+
+
+def _load_surface(flags):
+    name, path = _surface_flags(flags)
+    return load_builtin(name) if path is None else load_config(path)
 
 
 def _emit(json_mode: bool, text_lines, payload) -> None:
@@ -345,19 +353,8 @@ def _cmd_kirby(tokens) -> int:
 
 def _cmd_validate(tokens) -> int:
     flags, _ = _parse_args(tokens, {"--surface", "--config", "--json"})
-    name = flags.get("--surface")
-    path = flags.get("--config")
-    if (name is None) == (path is None):
-        raise UsageError("need exactly one of --surface and --config")
-    if path is not None:
-        try:
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read config {path}: {exc}") from None
-        spec, catalog = catalog_from_json(text)
-    else:
-        spec, catalog = load_builtin(name)
+    name, path = _surface_flags(flags)
+    spec, catalog = load_builtin(name) if path is None else _read_config(path)
     report = validate_catalog(spec, catalog)
     _emit(
         "--json" in flags,

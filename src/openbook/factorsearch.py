@@ -29,9 +29,10 @@ representation x_k -> A^k B A^-k of the free group in SL(2, Z)
 rho(phi(x_k)).  rho is injective, so two keys are equal exactly when
 the classes are, and every memo hit, table hit and tie-break is the one
 exact class equality would give.  Appending a twist c to a word is right
-composition, phi o tau_c, so the new key reads the images of tau_c
-through the old matrices, and D <- D R_c + D_c: both fold in constant
-data of c, and no free-group word is built.
+composition, phi o tau_c (``surface.right_compose``), so the new key
+reads the images of tau_c through the old matrices, and
+D <- D R_c + D_c: both fold in constant data of c, and no free-group
+word is built.
 
 Meet in the middle.  A prefix P completes a suffix S when P o S = T,
 that is P = T o S^-1.  The suffix table is filled in the depth-first
@@ -70,11 +71,11 @@ Pruning never changes the outcome:
   key would complete the first visit too, so a recorded failure cannot
   hide one.  The last letter is part of the key because of the next
   rule.
-* canonical order - if two adjacent letters commute (pairs whose two
-  orders give one class key, found once per search for the alphabet;
-  the key is faithful, so this is exact on any page), only the ordering
-  that respects alphabet order is explored.  Every word is rewritable to
-  this canonical form by class-preserving swaps, and the
+* canonical order - if two adjacent letters commute
+  (``surface.pair_relation``, which compares the class keys of their two
+  orders; the key is faithful, so this is exact on any page), only the
+  ordering that respects alphabet order is explored.  Every word is
+  rewritable to this canonical form by class-preserving swaps, and the
   lexicographically least solution is already canonical, so neither
   exhaustiveness nor the tie-break is affected.
 """
@@ -84,8 +85,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .freegroup import sanov_basis, sanov_substitute
-from .homology import append_twist, matrix_rank, twist_data, zero_matrix
+from .freegroup import sanov_substitute
+from .homology import matrix_rank, twist_data
 from .mcg import (
     MappingClass,
     TwistWord,
@@ -93,7 +94,15 @@ from .mcg import (
     equal_classes,
     evaluate,
 )
-from .surface import CurveConfig, SurfaceSpec, boundary_parallel_curve
+from .surface import (
+    CurveConfig,
+    SurfaceSpec,
+    boundary_parallel_curve,
+    identity_key,
+    pair_relation,
+    right_compose,
+    twist_step,
+)
 
 # above this many words in a single level, meet-in-the-middle replaces
 # the depth-first walk
@@ -206,34 +215,21 @@ def verify_factorisation(word: TwistWord, target: MappingClass) -> bool:
 
 
 class _Curve:
-    """Per-letter data, precomputed once: the steps of the twist and of
-    its inverse for ``_right_compose``, and the genus coordinates of q
-    for the infeasibility check."""
+    """Per-letter data, precomputed once: the catalog entry, the steps of
+    the twist and of its inverse for ``surface.right_compose``, and the
+    genus coordinates of q for the infeasibility check."""
 
-    __slots__ = ("name", "q", "step", "inverse_step")
+    __slots__ = ("name", "cfg", "q", "step", "inverse_step")
 
     def __init__(self, name: str, cfg: CurveConfig, genus: int) -> None:
         # raises unless p.Jh = 0, which makes the relative transvection of
         # the inverse twist I - Jh p^T
         twist_data(cfg.h, cfg.p, genus)
-        jh = tuple(x if i < 2 * genus else 0 for i, x in enumerate(cfg.h))
         self.name = name
+        self.cfg = cfg
         self.q = cfg.q[:2 * genus]
-        self.step = (cfg.aut.images, jh, cfg.h, cfg.p)
-        self.inverse_step = (
-            cfg.aut.inverse_images, jh, cfg.h, tuple(-x for x in cfg.p)
-        )
-
-
-def _right_compose(key, step):
-    """Class key (rho o phi o psi, D) from the key of phi and the step
-    (generator images, Jh, h, +-p) of a twist psi = tau_c^+-1.
-
-    D folds by the rank-one update D + (D Jh + h)(+-p)^T.
-    """
-    rho, d = key
-    images, jh, h, p = step
-    return sanov_substitute(rho, images), append_twist(d, jh, h, p)
+        self.step = twist_step(cfg, genus)
+        self.inverse_step = twist_step(cfg, genus, -1)
 
 
 def _moves_common_fixed(qs, target_genus_cols) -> bool:
@@ -258,22 +254,17 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
     """Iterative-deepening exhaustive search; see the module docstring
     for the strategy and the soundness of each prune."""
     surface = problem.surface
-    rank = surface.rank
-    curves = [_Curve(n, problem.catalog[n], surface.genus) for n in problem.alphabet]
-    identity_key = (sanov_basis(rank), zero_matrix(rank))
-    # (j, i) for i < j when the two orders of the letters give one class
-    commute: set[tuple[int, int]] = set()
-    if prune:
-        single = [_right_compose(identity_key, c.step) for c in curves]
-        for j, cj in enumerate(curves):
-            for i, ci in enumerate(curves[:j]):
-                if _right_compose(single[j], ci.step) == _right_compose(
-                    single[i], cj.step
-                ):
-                    commute.add((j, i))
+    genus = surface.genus
+    curves = [_Curve(n, problem.catalog[n], genus) for n in problem.alphabet]
+    start_key = identity_key(surface.rank)
+    # (j, i) for i < j when the twists of the two letters commute
+    commute = {
+        (j, i) for j, cj in enumerate(curves) for i in range(j)
+        if prune and pair_relation(genus, cj.cfg, curves[i].cfg) == "commute"
+    }
     target = problem.target
-    target_key = (sanov_substitute(sanov_basis(rank), target.exact.images), target.D)
-    target_genus_cols = tuple(row[:2 * surface.genus] for row in target.D)
+    target_key = (sanov_substitute(start_key[0], target.exact.images), target.D)
+    target_genus_cols = tuple(row[:2 * genus] for row in target.D)
     index_of = {c.name: i for i, c in enumerate(curves)}
     required = {
         index_of[name]: count
@@ -352,7 +343,7 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
                     counts[i] += 1
                     if counts[i] <= required[i]:
                         new_deficit -= 1
-                hit = visit(path + (c,), _right_compose(key, c.step), new_deficit, i)
+                hit = visit(path + (c,), right_compose(key, c.step), new_deficit, i)
                 if i in counts:
                     counts[i] -= 1
                 if hit is not None:
@@ -361,7 +352,7 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
                 memo.add(memo_key)
             return None
 
-        return visit((), identity_key, deficit0, -1)
+        return visit((), start_key, deficit0, -1)
 
     def meet_in_middle(length: int):
         # canonical suffixes S, keyed by T o S^-1; the first stored per key
@@ -377,7 +368,7 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
             key = tail_keys.get(tail)
             if key is None:
                 key = tail_keys[tail] = needed(tail)
-            return _right_compose(key, path[0].inverse_step)
+            return right_compose(key, path[0].inverse_step)
 
         def store(path, key):
             table.setdefault(needed(path), path)

@@ -315,16 +315,17 @@ def h1_of_open_book(ob) -> AbelianGroup:
     ``ob`` needs a ``surface`` (with ``genus`` and ``rank``) and a
     ``word`` whose entries name curves in its catalog; only the (h, p)
     pairing data of those curves is used, so linear-only catalogs
-    suffice.  The group is the cokernel of the composed deviation
-    matrix D of the monodromy word.
+    suffice.  The group is the cokernel of the deviation matrix D of the
+    monodromy word, folded one ``append_twist`` per entry.
     """
     surface = ob.surface
     word = ob.word
-    items = [zero_matrix(surface.rank)]
+    g2 = 2 * surface.genus
+    d = zero_matrix(surface.rank)
     for name, exp in word.entries:
         try:
             cfg = word.catalog[name]
         except KeyError:
             raise ValueError(f"no pairing data for curve {name!r}") from None
-        items.append(twist_data(cfg.h, cfg.p, surface.genus, exp))
-    return cokernel(compose_linear(items, surface.genus))
+        d = append_twist(d, cfg.h[:g2], cfg.h, tuple(exp * x for x in cfg.p))
+    return cokernel(d)

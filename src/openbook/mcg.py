@@ -35,7 +35,7 @@ from .homology import (
     mat_mul,
     zero_matrix,
 )
-from .surface import CurveConfig, SurfaceSpec, relation_tables
+from .surface import RELATION_PATTERNS, CurveConfig, SurfaceSpec, pair_relation
 
 _TOKEN = re.compile(r"^([A-Za-z][A-Za-z0-9]*)(?:\^(-?\d+))?$")
 
@@ -247,6 +247,11 @@ def boundary_exponent_delta(word: TwistWord, i: int, j: int) -> int:
 _MOVES = ("braid", "commute", "chain", "lantern")
 
 
+def _relation(word: TwistWord, u: str, v: str) -> str | None:
+    # a curve commutes with itself, so "braid" implies u != v
+    return pair_relation(word.surface.genus, word.catalog[u], word.catalog[v])
+
+
 def apply_relation(
     word: TwistWord,
     move: str,
@@ -255,15 +260,15 @@ def apply_relation(
 ) -> TwistWord:
     """Rewrite a word by one relation move at a position.
 
-    Positions index the exponent-expanded letter sequence.  Patterns
-    come from the relation tables of the word's surface; the rewritten
-    word evaluates to the same mapping class.
+    Positions index the exponent-expanded letter sequence.  Braid and
+    commute pairs come from ``surface.pair_relation`` on the word's
+    catalog, chain and lantern from ``surface.RELATION_PATTERNS``; the
+    rewritten word evaluates to the same mapping class.
     """
     if move not in _MOVES:
         raise ValueError(f"unknown move {move!r}")
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
-    tables = relation_tables(word.surface.name)
     exp = list(word.expanded())
 
     def fail() -> ValueError:
@@ -273,9 +278,7 @@ def apply_relation(
         if not 0 <= position <= len(exp) - 3:
             raise fail()
         (u, eu), (v, ev), (u2, eu2) = exp[position:position + 3]
-        if not (
-            u == u2 and eu == ev == eu2 == 1 and u != v and tables.braids(u, v)
-        ):
+        if not (u == u2 and eu == ev == eu2 == 1 and _relation(word, u, v) == "braid"):
             raise fail()
         exp[position:position + 3] = [(v, 1), (u, 1), (v, 1)]
         return TwistWord(word.surface, word.catalog, tuple(exp))
@@ -284,13 +287,13 @@ def apply_relation(
         if not 0 <= position <= len(exp) - 2:
             raise fail()
         (u, eu), (v, ev) = exp[position:position + 2]
-        if u == v or not tables.commutes(u, v):
+        if u == v or _relation(word, u, v) != "commute":
             raise fail()
         exp[position:position + 2] = [(v, ev), (u, eu)]
         return TwistWord(word.surface, word.catalog, tuple(exp))
 
     # chain and lantern: replace one side of the stored identity by the other
-    pattern = tables.chain if move == "chain" else tables.lantern
+    pattern = RELATION_PATTERNS.get((word.surface.name, move))
     if pattern is None:
         raise ValueError(f"surface {word.surface.name} has no {move} relation")
     lhs, rhs = pattern
@@ -308,18 +311,18 @@ def apply_relation(
 def applicable_moves(word: TwistWord) -> tuple[tuple[str, int, str], ...]:
     """All (move, position, direction) triples that apply_relation would
     accept on this word, in deterministic order."""
-    tables = relation_tables(word.surface.name)
     exp = word.expanded()
     found: list[tuple[str, int, str]] = []
     for i in range(len(exp) - 2):
         (u, eu), (v, ev), (u2, eu2) = exp[i:i + 3]
-        if u == u2 and u != v and eu == ev == eu2 == 1 and tables.braids(u, v):
+        if u == u2 and eu == ev == eu2 == 1 and _relation(word, u, v) == "braid":
             found.append(("braid", i, "forward"))
     for i in range(len(exp) - 1):
         (u, _), (v, _) = exp[i:i + 2]
-        if u != v and tables.commutes(u, v):
+        if u != v and _relation(word, u, v) == "commute":
             found.append(("commute", i, "forward"))
-    for move, pattern in (("chain", tables.chain), ("lantern", tables.lantern)):
+    for move in ("chain", "lantern"):
+        pattern = RELATION_PATTERNS.get((word.surface.name, move))
         if pattern is None:
             continue
         lhs, rhs = pattern

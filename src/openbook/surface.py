@@ -16,8 +16,11 @@ Conventions, fixed once and locked by the homology outputs downstream:
   q_k = <basis_k, c> (absolute) and p_k = <relative basis_k, c>, plus
   optionally the exact automorphism of the positive twist about c.
   The absolute basis pairs through the relative one, so q = J p, with J
-  keeping the 2g genus coordinates; validate_catalog checks it, and the
-  linear algebra downstream derives every homology action from h and p.
+  keeping the 2g genus coordinates, and q = Omega h by the intersection
+  form; validate_catalog checks both, and the linear algebra downstream
+  derives every homology action from h and p.
+* Classes are keyed exactly by (rho o phi, D) (``right_compose``), and
+  ``pair_relation`` decides on these keys which twists commute or braid.
 
 The builtin catalogs cover the one- and two-boundary genus-1 pages.  The
 two partition-curve automorphisms of the two-boundary page (s2, s3) and
@@ -30,6 +33,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from .freegroup import (
@@ -37,20 +42,21 @@ from .freegroup import (
     Letters,
     apply_images,
     are_conjugate,
-    compose,
     concat,
     det,
     exponent_sums,
     invert_letters,
     reduce_letters,
+    sanov_basis,
+    sanov_substitute,
 )
 from .homology import (
-    compose_linear,
+    append_twist,
     dot,
     identity_matrix,
     mat_add,
     outer,
-    twist_data,
+    zero_matrix,
 )
 
 Vector = tuple[int, ...]
@@ -143,6 +149,10 @@ class CurveConfig:
     def rank(self) -> int:
         return len(self.h)
 
+    def __hash__(self) -> int:
+        # curves key the pair_relation cache: skip hashing the automorphism
+        return hash((self.h, self.q, self.p))
+
 
 Catalog = dict[str, CurveConfig]
 
@@ -165,6 +175,7 @@ def _conjugating_aut(
     return FreeAutomorphism(rank, tuple(images), tuple(inverse_images))
 
 
+@lru_cache(maxsize=None)
 def _sigma11() -> tuple[SurfaceSpec, Catalog]:
     spec = SurfaceSpec.standard(1, 1)
     b1 = spec.boundary_words[0]
@@ -199,6 +210,7 @@ _S3_IMAGES = ((1,), (3, 2, 1), (3, 2, 1, -2, 3, 2, -1, -2, -3))
 _S3_INVERSE = ((1,), (2, -1, -2, -3, 2), (2, -1, -2, 3, 2, 1, -2))
 
 
+@lru_cache(maxsize=None)
 def _sigma12() -> tuple[SurfaceSpec, Catalog]:
     spec = SurfaceSpec.standard(1, 2)
     b1 = spec.boundary_words[0]          # (1, 2, -1, -2, -3)
@@ -250,23 +262,80 @@ def load_builtin(name: str) -> tuple[SurfaceSpec, Catalog]:
     non-separating curves) and d (boundary-parallel).  ``sigma12`` is
     the twice-holed torus with a, b, the separating curve g, the
     boundary-parallel d1 and d2, the second non-separating curve e, and
-    the lantern interior curves s1, s2, s3.
+    the lantern interior curves s1, s2, s3.  The curves are built once
+    and shared, as they are immutable; each call returns a new dict.
     """
-    if name == "sigma11":
-        return _sigma11()
-    if name == "sigma12":
-        return _sigma12()
-    raise ValueError(f"unknown builtin surface {name!r}")
+    if name not in ("sigma11", "sigma12"):
+        raise ValueError(f"unknown builtin surface {name!r}")
+    spec, catalog = (_sigma11 if name == "sigma11" else _sigma12)()
+    return spec, dict(catalog)
+
+
+def identity_key(rank: int):
+    """Class key of the identity (see ``right_compose``)."""
+    return sanov_basis(rank), zero_matrix(rank)
+
+
+def twist_step(cfg: CurveConfig, genus: int, sign: int = 1):
+    """The step (generator images, Jh, h, sign p) of tau_c^sign, sign =
+    +-1, for ``right_compose``; c needs an exact automorphism."""
+    jh = tuple(x if i < 2 * genus else 0 for i, x in enumerate(cfg.h))
+    images = cfg.aut.images if sign > 0 else cfg.aut.inverse_images
+    return images, jh, cfg.h, tuple(sign * x for x in cfg.p)
+
+
+def right_compose(key, step):
+    """Class key (rho o phi o psi, D) from the key (rho o phi, D) of phi and
+    the step of psi = tau_c^+-1.  rho is Sanov's faithful representation
+    (``freegroup.sanov_basis``), so keys are equal exactly when classes
+    are; D folds by the rank-one update D + (D Jh + h)(+-p)^T."""
+    rho, d = key
+    images, jh, h, p = step
+    return sanov_substitute(rho, images), append_twist(d, jh, h, p)
+
+
+def pair_relation(genus: int, u: CurveConfig, v: CurveConfig) -> str | None:
+    """"commute" when u v and v u have one class key, "braid" when
+    |q_u . h_v| = 1 and u v u and v u v have one key, else None.
+
+    Twists commute when their curves are disjoint and braid when they
+    meet once (Farb-Margalit, A Primer on Mapping Class Groups, 3.5); the
+    pairing keeps curves of one class, for which u v u = v u v trivially,
+    out of the braids.  A curve without an exact automorphism relates to
+    nothing.  Cached once per unordered pair.
+    """
+    if v.name < u.name:
+        u, v = v, u
+    return _pair_relation(genus, u, v)
+
+
+@lru_cache(maxsize=4096)
+def _pair_relation(genus: int, u: CurveConfig, v: CurveConfig) -> str | None:
+    if u.aut is None or v.aut is None:
+        return None
+    su, sv = twist_step(u, genus), twist_step(v, genus)
+    base = identity_key(u.rank)
+    uv = right_compose(right_compose(base, su), sv)
+    vu = right_compose(right_compose(base, sv), su)
+    if uv == vu:
+        return "commute"
+    if abs(dot(u.q, v.h)) == 1 and right_compose(uv, su) == right_compose(vu, sv):
+        return "braid"
+    return None
+
+
+# chain and lantern (lhs, rhs) by surface name: the only name-keyed relations
+RELATION_PATTERNS = {
+    ("sigma11", "chain"): (("a", "b") * 6, ("d",)),
+    ("sigma12", "chain"): (("a", "b") * 6, ("g",)),
+    ("sigma12", "lantern"): (("d1", "d2", "e", "e"), ("s1", "s2", "s3")),
+}
 
 
 @dataclass(frozen=True)
 class RelationTables:
-    """Relation patterns usable as rewriting moves on a builtin catalog.
-
-    Pairs and words refer to catalog names; all patterns were verified
-    both on exact automorphisms and on linear twist data (a move must
-    preserve the full mapping class, variation matrix included).
-    """
+    """Relation moves of a builtin page: the ``pair_relation`` braid and
+    commute pairs in catalog order, and the chain and lantern patterns."""
 
     braid_pairs: tuple[tuple[str, str], ...]
     commute_pairs: tuple[tuple[str, str], ...]
@@ -280,38 +349,20 @@ class RelationTables:
         return (u, v) in self.commute_pairs or (v, u) in self.commute_pairs
 
 
-_TABLES = {
-    "sigma11": RelationTables(
-        braid_pairs=(("a", "b"),),
-        commute_pairs=(("a", "d"), ("b", "d")),
-        chain=(("a", "b") * 6, ("d",)),
-    ),
-    "sigma12": RelationTables(
-        braid_pairs=(("a", "b"), ("b", "e"), ("b", "s2"), ("b", "s3")),
-        commute_pairs=(
-            ("a", "g"), ("a", "d1"), ("a", "d2"), ("a", "e"),
-            ("a", "s1"), ("a", "s2"), ("a", "s3"),
-            ("b", "g"), ("b", "d1"), ("b", "d2"), ("b", "s1"),
-            ("g", "d1"), ("g", "d2"), ("g", "e"), ("g", "s1"),
-            ("d1", "d2"), ("d1", "e"), ("d1", "s1"), ("d1", "s2"),
-            ("d1", "s3"),
-            ("d2", "e"), ("d2", "s1"), ("d2", "s2"), ("d2", "s3"),
-            ("e", "s1"), ("e", "s2"), ("e", "s3"),
-        ),
-        chain=(("a", "b") * 6, ("g",)),
-        lantern=(("d1", "d2", "e", "e"), ("s1", "s2", "s3")),
-    ),
-}
-
-
+@lru_cache(maxsize=None)
 def relation_tables(surface_name: str) -> RelationTables:
-    try:
-        return _TABLES[surface_name]
-    except KeyError:
-        raise ValueError(
-            f"no relation tables for surface {surface_name!r}; "
-            "rewriting moves are configured for builtin catalogs only"
-        ) from None
+    """The relation moves of a builtin page; raises for any other name."""
+    spec, catalog = load_builtin(surface_name)
+    kinds = {
+        (u, v): pair_relation(spec.genus, catalog[u], catalog[v])
+        for u, v in combinations(catalog, 2)
+    }
+    return RelationTables(
+        tuple(pair for pair, kind in kinds.items() if kind == "braid"),
+        tuple(pair for pair, kind in kinds.items() if kind == "commute"),
+        RELATION_PATTERNS.get((surface_name, "chain")),
+        RELATION_PATTERNS.get((surface_name, "lantern")),
+    )
 
 
 @dataclass(frozen=True)
@@ -340,32 +391,13 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _word_aut(catalog: Mapping[str, CurveConfig], names: Sequence[str]) -> FreeAutomorphism:
-    acc = None
-    for name in names:
-        cfg = catalog[name]
-        if cfg.aut is None:
-            raise ValueError(f"missing automorphism for curve {name!r}")
-        acc = cfg.aut if acc is None else compose(acc, cfg.aut)
-    if acc is None:
-        raise ValueError("empty relation word")
-    return acc
-
-
-def _word_linear(surface: SurfaceSpec, catalog, names: Sequence[str]):
-    return compose_linear(
-        [twist_data(catalog[n].h, catalog[n].p, surface.genus) for n in names],
-        surface.genus,
-    )
-
-
 def validate_catalog(surface: SurfaceSpec, catalog: Mapping[str, CurveConfig]) -> ValidationReport:
     """Run every structural and relation check on a catalog.
 
-    Structural checks apply to any catalog; the relation checks (braid,
-    commute, chain, lantern) run against the shipped tables when the
-    surface has them and are vacuous otherwise.  A relation naming a
-    curve the catalog lacks fails its check; one naming a curve without
+    Structural checks apply to any catalog; the chain and lantern checks
+    compare the class keys of the two sides of the surface's
+    ``RELATION_PATTERNS`` and are vacuous without them.  A relation naming
+    a curve the catalog lacks fails its check; one naming a curve without
     an exact automorphism raises.
 
     Boundary-word behaviour: every twist must fix the basepoint
@@ -418,10 +450,12 @@ def validate_catalog(surface: SurfaceSpec, catalog: Mapping[str, CurveConfig]) -
             failures.append(f"curve {key}: automorphism not unimodular")
     add("unimodular", failures)
 
+    # q = Omega h: <y_i, x_i> = 1, and the boundary loops pair to 0
     failures = []
     for key, cfg in catalog.items():
-        if all(x == 0 for x in cfg.h) and any(x != 0 for x in cfg.q):
-            failures.append(f"curve {key}: null-homologous curve with q != 0")
+        omega_h = sum(((-cfg.h[k + 1], cfg.h[k]) for k in range(0, g2, 2)), ())
+        if cfg.q != omega_h + (0,) * (m - g2):
+            failures.append(f"curve {key}: q != Omega h")
     add("separating_q", failures)
 
     failures = []
@@ -456,57 +490,29 @@ def validate_catalog(surface: SurfaceSpec, catalog: Mapping[str, CurveConfig]) -
                 )
     add("boundary_words", failures)
 
-    def absent(names: Sequence[str]) -> str:
-        gone = sorted(set(names) - set(catalog))
-        return "curves not in catalog: " + ", ".join(gone) if gone else ""
+    def word_key(names: Sequence[str]):
+        key = identity_key(m)
+        for name in names:
+            if catalog[name].aut is None:
+                raise ValueError(f"missing automorphism for curve {name!r}")
+            key = right_compose(key, twist_step(catalog[name], surface.genus))
+        return key
 
-    tables = _TABLES.get(surface.name)
-    braid_failures: list[str] = []
-    commute_failures: list[str] = []
-    chain_failures: list[str] = []
-    lantern_failures: list[str] = []
-    if tables is not None:
-        for u, v in tables.braid_pairs:
-            gone = absent((u, v))
-            if gone or abs(dot(catalog[u].q, catalog[v].h)) != 1:
-                braid_failures.append(f"({u},{v}): {gone or 'pairing is not +-1'}")
-                continue
-            if _word_aut(catalog, (u, v, u)) != _word_aut(catalog, (v, u, v)):
-                braid_failures.append(f"({u},{v}): automorphism braid identity fails")
-            if _word_linear(surface, catalog, (u, v, u)) != _word_linear(
-                surface, catalog, (v, u, v)
-            ):
-                braid_failures.append(f"({u},{v}): linear braid identity fails")
-        for u, v in tables.commute_pairs:
-            gone = absent((u, v))
-            if gone or dot(catalog[u].q, catalog[v].h) != 0:
-                commute_failures.append(f"({u},{v}): {gone or 'pairing is nonzero'}")
-                continue
-            if _word_aut(catalog, (u, v)) != _word_aut(catalog, (v, u)):
-                commute_failures.append(f"({u},{v}): automorphisms do not commute")
-            if _word_linear(surface, catalog, (u, v)) != _word_linear(
-                surface, catalog, (v, u)
-            ):
-                commute_failures.append(f"({u},{v}): linear data does not commute")
-        for kind, relation, failed in (
-            ("chain", tables.chain, chain_failures),
-            ("lantern", tables.lantern, lantern_failures),
-        ):
-            if relation is None:
-                continue
+    for kind in ("chain", "lantern"):
+        failures = []
+        relation = RELATION_PATTERNS.get((surface.name, kind))
+        if relation is not None:
             lhs, rhs = relation
-            gone = absent(lhs + rhs)
+            gone = sorted(set(lhs + rhs) - set(catalog))
             if gone:
-                failed.append(gone)
-                continue
-            if _word_aut(catalog, lhs) != _word_aut(catalog, rhs):
-                failed.append(f"{kind} relation fails on automorphisms")
-            if _word_linear(surface, catalog, lhs) != _word_linear(surface, catalog, rhs):
-                failed.append(f"{kind} relation fails on linear data")
-    add("braid", braid_failures)
-    add("commute", commute_failures)
-    add("chain", chain_failures)
-    add("lantern", lantern_failures)
+                failures.append("curves not in catalog: " + ", ".join(gone))
+            else:
+                (rho_l, d_l), (rho_r, d_r) = word_key(lhs), word_key(rhs)
+                if rho_l != rho_r:
+                    failures.append(f"{kind} relation fails on automorphisms")
+                if d_l != d_r:
+                    failures.append(f"{kind} relation fails on linear data")
+        add(kind, failures)
 
     return ValidationReport(tuple(checks))
 

@@ -253,7 +253,7 @@ def test_validate(capsys):
     code, out, _ = run(capsys, "validate", "--surface", "sigma12")
     assert code == 0
     assert all(line.endswith(": PASS") for line in out.splitlines())
-    assert len(out.splitlines()) == 10
+    assert len(out.splitlines()) == 8
 
 
 def test_config_files(tmp_path, capsys):
@@ -290,15 +290,14 @@ def test_malformed_config_files(tmp_path, capsys):
         edit({c["name"]: c for c in obj["curves"]}, obj)
         path.write_text(json.dumps(obj))
 
-    # a sigma11 catalog without a and d fails its relation checks by name
+    # a sigma11 catalog without a and d fails its chain check by name
     write(lambda curves, obj: obj.update(curves=[curves["b"]]))
     code, out, err = run(capsys, "validate", "--config", str(path))
     assert code == 1 and err == ""
-    assert "braid: FAIL ((a,b): curves not in catalog: a)" in out.splitlines()
     assert "chain: FAIL (curves not in catalog: a, d)" in out.splitlines()
     code, _, err = run(capsys, "h1", "--config", str(path), "--word", "b")
     assert code == 1
-    assert err == "error: config validation failed: braid, commute, chain\n"
+    assert err == "error: config validation failed: chain\n"
 
     write(lambda curves, obj: curves["a"].update(aut=5))
     code, _, err = run(capsys, "validate", "--config", str(path))

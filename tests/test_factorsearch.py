@@ -14,7 +14,6 @@ from openbook.factorsearch import (
     verify_factorisation,
 )
 from openbook.freegroup import sanov_basis, sanov_substitute
-from openbook.homology import zero_matrix
 from openbook.mcg import (
     TwistWord,
     applicable_moves,
@@ -23,7 +22,7 @@ from openbook.mcg import (
     equal_classes,
     evaluate,
 )
-from openbook.surface import load_builtin
+from openbook.surface import identity_key, load_builtin, right_compose, twist_step
 from openbook.surgery import OpenBook, surgery
 
 
@@ -103,13 +102,11 @@ _sigma12_positive = st.lists(st.sampled_from(sorted(_SIGMA12[1])), max_size=6)
 @given(_sigma12_positive, _sigma12_positive, st.randoms(use_true_random=False))
 def test_class_key_is_faithful(u, v, rng):
     spec, catalog = _SIGMA12
-    curves = {n: factorsearch._Curve(n, catalog[n], spec.genus) for n in catalog}
-    identity = (sanov_basis(spec.rank), zero_matrix(spec.rank))
 
-    def walked(names, start=identity):
+    def walked(names, sign=1, start=identity_key(spec.rank)):
         key = start
         for name in names:
-            key = factorsearch._right_compose(key, curves[name].step)
+            key = right_compose(key, twist_step(catalog[name], spec.genus, sign))
         return key
 
     def key_of(cls):
@@ -128,9 +125,7 @@ def test_class_key_is_faithful(u, v, rng):
         moved = apply_relation(word(u), move, position, direction)
         assert walked(n for n, _ in moved.expanded()) == walked(u)
     # the suffix-table key: u o v^-1 by folding v's inverse twists, last first
-    needed = walked(u)
-    for name in reversed(v):
-        needed = factorsearch._right_compose(needed, curves[name].inverse_step)
+    needed = walked(reversed(v), -1, walked(u))
     assert needed == key_of(evaluate(word(u) * word(v).inverse()))
 
 

@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -19,13 +21,14 @@ from openbook.mcg import (
     invert_class,
     rename_word,
 )
-from openbook.surface import load_builtin, stabilize
+from openbook.surface import load_builtin, pair_relation, stabilize
+from openbook.surgery import OpenBook, surgery
 
 RANDOM_ROUNDS = 100
 
 
-def random_word(rng, surface, catalog, length):
-    names = sorted(catalog)
+def random_word(rng, surface, catalog, length, names=None):
+    names = sorted(catalog) if names is None else names
     text = " ".join(
         f"{rng.choice(names)}^{rng.choice((-2, -1, 1, 2))}" for _ in range(length)
     )
@@ -170,12 +173,43 @@ def test_apply_relation_errors():
         apply_relation(word, "commute", 5)
 
 
+def _sigma13_page():
+    """The genus-one, three-boundary page of surgery r = 7/2 on the
+    binding of the trefoil book; it has no chain or lantern pattern."""
+    spec, catalog = load_builtin("sigma11")
+    book = OpenBook.standard(spec, TwistWord.parse(spec, catalog, "a b"))
+    out = surgery(book, "1", Fraction(7, 2), 1)
+    return out.surface, out.word.catalog
+
+
 def test_moves_preserve_class_and_delta():
+    pages = [load_builtin("sigma11"), load_builtin("sigma12"), _sigma13_page()]
+    for spec, catalog in pages:
+        names = sorted(n for n in catalog if catalog[n].aut is not None)
+        _check_pair_relations(spec, catalog, names)
+        _check_random_moves(spec, catalog, names)
+
+
+def _check_pair_relations(spec, catalog, names):
+    # braid and commute are derived per pair: check each against evaluation
+    def cls(text):
+        return evaluate(TwistWord.parse(spec, catalog, text))
+
+    for u in names:
+        for v in names:
+            commutes = equal_classes(cls(f"{u} {v}"), cls(f"{v} {u}"))
+            braids = not commutes and equal_classes(
+                cls(f"{u} {v} {u}"), cls(f"{v} {u} {v}")
+            )
+            expected = "commute" if commutes else "braid" if braids else None
+            assert pair_relation(spec.genus, catalog[u], catalog[v]) == expected
+
+
+def _check_random_moves(spec, catalog, names):
     rng = random.Random(23)
-    spec, catalog = load_builtin("sigma12")
     checked = 0
     for _ in range(RANDOM_ROUNDS):
-        word = random_word(rng, spec, catalog, rng.randint(1, 6))
+        word = random_word(rng, spec, catalog, rng.randint(1, 6), names)
         moves = applicable_moves(word)
         assert moves == applicable_moves(word)  # deterministic enumeration
         if not moves:
@@ -183,7 +217,7 @@ def test_moves_preserve_class_and_delta():
         move, position, direction = rng.choice(moves)
         other = apply_relation(word, move, position, direction)
         assert equal_classes(evaluate(word), evaluate(other))
-        for i, j in ((1, 2), (2, 1)):
+        for i, j in itertools.permutations(range(1, spec.boundary + 1), 2):
             assert boundary_exponent_delta(word, i, j) == boundary_exponent_delta(
                 other, i, j
             )

@@ -26,8 +26,6 @@ def test_builtin_catalogs_validate():
             "separating_q",
             "boundary_parallel_data",
             "boundary_words",
-            "braid",
-            "commute",
             "chain",
             "lantern",
         ]
@@ -69,8 +67,19 @@ def test_validate_catches_corruption():
 
 
 def test_relation_tables():
+    # the derived pairs, pinned to the hand-written tables they replace
     tables = relation_tables("sigma12")
     assert tables.braid_pairs == (("a", "b"), ("b", "e"), ("b", "s2"), ("b", "s3"))
+    assert tables.commute_pairs == (
+        ("a", "g"), ("a", "d1"), ("a", "d2"), ("a", "e"),
+        ("a", "s1"), ("a", "s2"), ("a", "s3"),
+        ("b", "g"), ("b", "d1"), ("b", "d2"), ("b", "s1"),
+        ("g", "d1"), ("g", "d2"), ("g", "e"), ("g", "s1"),
+        ("d1", "d2"), ("d1", "e"), ("d1", "s1"), ("d1", "s2"),
+        ("d1", "s3"),
+        ("d2", "e"), ("d2", "s1"), ("d2", "s2"), ("d2", "s3"),
+        ("e", "s1"), ("e", "s2"), ("e", "s3"),
+    )
     assert tables.braids("a", "b") and tables.braids("b", "a")
     assert tables.braids("b", "e")
     assert not tables.braids("a", "e")
@@ -80,6 +89,8 @@ def test_relation_tables():
     assert tables.lantern == (("d1", "d2", "e", "e"), ("s1", "s2", "s3"))
 
     tables = relation_tables("sigma11")
+    assert tables.braid_pairs == (("a", "b"),)
+    assert tables.commute_pairs == (("a", "d"), ("b", "d"))
     assert tables.braids("a", "b")
     assert tables.commutes("a", "d") and tables.commutes("b", "d")
     assert tables.chain == (("a", "b") * 6, ("d",))

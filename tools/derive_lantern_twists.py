@@ -32,10 +32,12 @@ any correct convention:
 If several (handedness, curve-variant, ordering) combinations survive
 C3, the lexicographically least is the one frozen into openbook.surface.
 
-The script also re-verifies, at automorphism level, every relation the
-package ships as rewriting moves (braid pairs, commuting pairs, the
-twelve-letter chain identity, the boundary-word behaviour), so the
-frozen tables in openbook.surface are exactly its output.
+The script also re-verifies, at automorphism level, the relations the
+package uses as rewriting moves (braid pairs, commuting pairs, the
+twelve-letter chain identity, the boundary-word behaviour).
+openbook.surface.pair_relation derives the braid and commute pairs from
+the catalog's class keys; on the builtin pages they equal the ones
+printed here.
 """
 
 from __future__ import annotations
@@ -406,7 +408,7 @@ def main() -> int:
         print(f"  {n:3s} b1 fixed={psi.apply(B1) == B1}  b2 image={img2}")
 
     # moves on words must preserve the full class (automorphism AND the
-    # variation matrix D), so the frozen tables require both levels
+    # variation matrix D), so a pair counts only when both levels agree
     print()
     braids, commutes, aut_only = [], [], []
     for i, j in itertools.combinations(range(len(names)), 2):

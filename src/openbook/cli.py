@@ -265,35 +265,26 @@ def _cmd_search(tokens) -> int:
     return 2
 
 
-def _present_lines(link: FramedLinkPresentation, sort_key) -> list[str]:
+def _present(link: FramedLinkPresentation, sort_key):
+    """The text lines and JSON payload of a framed link and its H1; the
+    lines are read off the payload."""
     order = sorted(link.labels, key=sort_key)
-    coeff = {l: c for l, c in zip(link.labels, link.coefficients)}
+    coeff = dict(zip(link.labels, link.coefficients))
     pairs = sorted(link.linking.items(), key=lambda kv: (sort_key(kv[0][0]), sort_key(kv[0][1])))
-    lines = [
-        "components: " + " ".join(order),
-        "coefficients: " + " ".join(str(coeff[l]) for l in order),
-    ]
-    if pairs:
-        lines.append("linking: " + " ".join(f"{a}-{b}:{v}" for (a, b), v in pairs))
-    lines.append(f"H1: {h1_of_link(link)}")
-    return lines
-
-
-def _present_payload(link: FramedLinkPresentation, sort_key):
-    order = sorted(link.labels, key=sort_key)
-    coeff = {l: c for l, c in zip(link.labels, link.coefficients)}
-    return {
-        "components": list(order),
+    payload = {
+        "components": order,
         "coefficients": [str(coeff[l]) for l in order],
-        "linking": {
-            f"{a}-{b}": v
-            for (a, b), v in sorted(
-                link.linking.items(),
-                key=lambda kv: (sort_key(kv[0][0]), sort_key(kv[0][1])),
-            )
-        },
+        "linking": {f"{a}-{b}": v for (a, b), v in pairs},
         "h1": str(h1_of_link(link)),
     }
+    lines = [
+        "components: " + " ".join(order),
+        "coefficients: " + " ".join(payload["coefficients"]),
+    ]
+    if pairs:
+        lines.append("linking: " + " ".join(f"{k}:{v}" for k, v in payload["linking"].items()))
+    lines.append(f"H1: {payload['h1']}")
+    return lines, payload
 
 
 def _cmd_seifert(tokens) -> int:
@@ -308,11 +299,7 @@ def _cmd_seifert(tokens) -> int:
     if len(rs) != 3:
         raise UsageError("--rs takes three comma-separated rationals")
     link = seifert_presentation(SeifertData(e0, rs))
-    _emit(
-        "--json" in flags,
-        _present_lines(link, str),
-        _present_payload(link, str),
-    )
+    _emit("--json" in flags, *_present(link, str))
     return 0
 
 
@@ -343,11 +330,7 @@ def _cmd_kirby(tokens) -> int:
 
     for target in flags.get("--blow-down", []):
         link = blow_down(link, target)
-    _emit(
-        "--json" in flags,
-        _present_lines(link, sort_key),
-        _present_payload(link, sort_key),
-    )
+    _emit("--json" in flags, *_present(link, sort_key))
     return 0
 
 

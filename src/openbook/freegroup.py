@@ -11,6 +11,9 @@ hand, and a wrong inverse shows up here instead of as a subtly wrong
 twist three modules later.  Results of ``compose``, ``inverse`` and
 ``__pow__`` are trusted, not re-checked: f o g and g^-1 o f^-1 are
 mutually inverse whenever f and g are, and substitution reduces.
+``conjugation`` and ``inner`` are trusted too: conjugating generators by
+a word spelled in them fixes that word, so conjugating by its inverse
+undoes the map.
 """
 
 from __future__ import annotations
@@ -239,7 +242,8 @@ class FreeAutomorphism:
     ``images[k-1]`` is the reduced image of x_k, ``inverse_images[k-1]``
     the reduced image of x_k under the inverse automorphism.  The public
     constructor checks that the two maps are mutually inverse; compose,
-    inverse, ``__pow__`` and identity build through unchecked ``_trusted``.
+    inverse, ``__pow__``, identity, conjugation and inner build through
+    unchecked ``_trusted``.
     """
 
     rank: int
@@ -282,13 +286,30 @@ class FreeAutomorphism:
         return cls(rank, tuple(images), tuple(inverse_images))
 
     @classmethod
-    def inner(cls, rank: int, w: Sequence[int]) -> "FreeAutomorphism":
-        """Conjugation u -> w^-1 u w."""
-        word = reduce_letters(w, rank)
+    def conjugation(
+        cls, rank: int, word: Sequence[int], moved: Sequence[int]
+    ) -> "FreeAutomorphism":
+        """Conjugate the generators in ``moved`` by ``word`` (u -> word^-1
+        u word) and fix the rest; ``word`` must be spelled in ``moved``.
+
+        Built trusted: the map fixes ``word`` itself, so conjugating the
+        same generators by word^-1 undoes it.
+        """
+        word = reduce_letters(word, rank)
+        if any(abs(x) not in moved for x in word):
+            raise ValueError("conjugating word uses a generator it does not move")
         wi = invert_letters(word)
-        images = tuple(concat(wi, (k + 1,), word) for k in range(rank))
-        inverse_images = tuple(concat(word, (k + 1,), wi) for k in range(rank))
-        return cls(rank, images, inverse_images)
+        gens = range(1, rank + 1)
+        images = tuple(concat(wi, (u,), word) if u in moved else (u,) for u in gens)
+        inverse_images = tuple(
+            concat(word, (u,), wi) if u in moved else (u,) for u in gens
+        )
+        return cls._trusted(rank, images, inverse_images)
+
+    @classmethod
+    def inner(cls, rank: int, w: Sequence[int]) -> "FreeAutomorphism":
+        """Conjugation u -> w^-1 u w of every generator."""
+        return cls.conjugation(rank, w, range(1, rank + 1))
 
     def apply(self, letters: Sequence[int]) -> Letters:
         return apply_images(self.images, letters)

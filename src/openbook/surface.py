@@ -21,6 +21,11 @@ Conventions, fixed once and locked by the homology outputs downstream:
   derives every homology action from h and p.
 * Classes are keyed exactly by (rho o phi, D) (``right_compose``), and
   ``pair_relation`` decides on these keys which twists commute or braid.
+* ``stabilize`` is one rule for every boundary index: each curve's twist
+  is carried to the new page by the basis change, zero-extended, or
+  replaced by a conjugation.  These are built trusted, since each is an
+  automorphism whenever the input twist is; automorphisms are checked
+  where they enter (the public constructor, ``from_images``, JSON).
 
 The builtin catalogs cover the one- and two-boundary genus-1 pages.  The
 two partition-curve automorphisms of the two-boundary page (s2, s3) and
@@ -45,7 +50,6 @@ from .freegroup import (
     concat,
     det,
     exponent_sums,
-    invert_letters,
     reduce_letters,
     sanov_basis,
     sanov_substitute,
@@ -157,22 +161,12 @@ class CurveConfig:
 Catalog = dict[str, CurveConfig]
 
 
-def _conjugating_aut(
-    rank: int, word: Letters, moved: Sequence[int]
-) -> FreeAutomorphism:
-    """Conjugate the listed generators by ``word`` (u -> word^-1 u word),
-    fix the rest."""
-    wi = invert_letters(word)
-    images = []
-    inverse_images = []
-    for u in range(1, rank + 1):
-        if u in moved:
-            images.append(concat(wi, (u,), word))
-            inverse_images.append(concat(word, (u,), wi))
-        else:
-            images.append((u,))
-            inverse_images.append((u,))
-    return FreeAutomorphism(rank, tuple(images), tuple(inverse_images))
+def _boundary_class(genus: int, boundary: int, i: int) -> Vector:
+    """h (and p) of the curve parallel to boundary component i."""
+    g2 = 2 * genus
+    if i == 1:
+        return (0,) * g2 + (-1,) * (boundary - 1)
+    return tuple(1 if j == g2 + i - 2 else 0 for j in range(g2 + boundary - 1))
 
 
 @lru_cache(maxsize=None)
@@ -218,7 +212,7 @@ def _sigma12() -> tuple[SurfaceSpec, Catalog]:
     aut_a = FreeAutomorphism.from_images(
         3, [(1,), (2, 1), (3,)], [(1,), (2, -1), (3,)]
     )
-    aut_g = _conjugating_aut(3, g_word, (1, 2))
+    aut_g = FreeAutomorphism.conjugation(3, g_word, (1, 2))
     catalog = {
         "a": CurveConfig("a", (1, 0, 0), (0, 1, 0), (0, 1, 0), aut=aut_a),
         "b": CurveConfig(
@@ -463,12 +457,7 @@ def validate_catalog(surface: SurfaceSpec, catalog: Mapping[str, CurveConfig]) -
         i = cfg.boundary_parallel_to
         if i is None:
             continue
-        if i == 1:
-            want_h = (0,) * g2 + (-1,) * (surface.boundary - 1)
-        else:
-            want_h = tuple(
-                1 if j == g2 + i - 2 else 0 for j in range(m)
-            )
+        want_h = _boundary_class(surface.genus, surface.boundary, i)
         if cfg.h != want_h or cfg.p != want_h or any(cfg.q):
             failures.append(
                 f"curve {key}: data does not match a curve parallel to boundary {i}"
@@ -537,38 +526,19 @@ class StabResult:
     k_index: int
 
 
-def _zext_aut(aut: FreeAutomorphism, new_rank: int) -> FreeAutomorphism:
-    t = new_rank
-    images = tuple(aut.images) + ((t,),)
-    inverse_images = tuple(aut.inverse_images) + ((t,),)
-    return FreeAutomorphism(new_rank, images, inverse_images)
-
-
-def _substituted_aut(
-    aut: FreeAutomorphism, new_rank: int, zk: int
+def _transported_aut(
+    aut: FreeAutomorphism, new_rank: int, sub: FreeAutomorphism
 ) -> FreeAutomorphism:
-    """Rewrite an automorphism through the basis change z_K -> z_K t.
+    """S o (aut * fix t) o S^-1 for the basis change S = ``sub``, with t
+    the new last generator; S the identity zero-extends ``aut``.  Built
+    trusted: a conjugate of an automorphism is one."""
+    def transport(table: Sequence[Letters]) -> tuple[Letters, ...]:
+        extended = (*table, (new_rank,))
+        return tuple(sub.apply(apply_images(extended, w)) for w in sub.inverse_images)
 
-    The old loop around boundary K encircles, after the handle is
-    added, both the continuation hole and the fresh one: old z_K equals
-    new z_K . t.  The twist in the new basis is S o (aut * fix t) o
-    S^-1 for the substitution S: z_K -> z_K t.
-    """
-    t = new_rank
-    sub = [(u,) for u in range(1, new_rank + 1)]
-    sub[zk - 1] = (zk, t)
-    unsub = [(u,) for u in range(1, new_rank + 1)]
-    unsub[zk - 1] = (zk, -t)
-    ext_images = list(aut.images) + [(t,)]
-    ext_inverse = list(aut.inverse_images) + [(t,)]
-
-    def transport(table):
-        return tuple(
-            apply_images(sub, apply_images(table, apply_images(unsub, (u,))))
-            for u in range(1, new_rank + 1)
-        )
-
-    return FreeAutomorphism(new_rank, transport(ext_images), transport(ext_inverse))
+    return FreeAutomorphism._trusted(
+        new_rank, transport(aut.images), transport(aut.inverse_images)
+    )
 
 
 def stabilize(
@@ -577,173 +547,96 @@ def stabilize(
     """Add a 1-handle across boundary component K (genus unchanged,
     one more boundary component) and return the new configuration.
 
-    Boundary K splits in two.  For K = 1 the basepoint stays on the
-    new first boundary and the binding moves to the fresh component;
-    the old boundary-parallel curve survives as the curve around both
-    new holes (renamed g<n+1>, or g when that lands on the builtin
-    two-boundary page).  For K >= 2 the binding keeps its index, the
-    fresh component carries the stabilisation curve, and retained
-    automorphisms are rewritten through the basis change old z_K =
-    z_K t.  Every h/q/p vector is zero-extended, with the z_K/A_K
-    weight copied into the fresh slot where the splitting demands it.
+    One rule covers every K.  Boundary K splits into a continuation hole
+    and a fresh hole t, the new last generator, and old b_K = new b_K t.
+    The basis change S is the identity for K = 1 and z_K -> z_K t for
+    K >= 2.  For K = 1 the basepoint stays on boundary 1 and the binding
+    moves to the fresh hole; for K >= 2 the binding keeps index K and
+    the fresh hole carries the stabilisation curve.  Each old curve,
+    in catalog order:
 
-    Interior curves whose class or relative pairing meets boundary K
-    keep only their (corrected) linear data: their loops run through
-    the modified region and no exact automorphism is derived for them.
+    * parallel to K: it now bounds both new holes and is renamed g<n+1>
+      (g on the two-boundary page); its twist conjugates the generators
+      on its far side from the basepoint by its word: all old ones by
+      old b_1 for K = 1, z_K and t by z_K t for K >= 2;
+    * parallel to 1 (K >= 2): the twist is inner(new b_1);
+    * parallel to another component: the twist is zero-extended;
+    * interior: the twist is transported by S, unless the curve's class
+      or relative pairing meets boundary K.  Such a curve runs through
+      the handle and keeps only its linear data.
+
+    h and p are zero-extended with the z_K/A_K weight copied into the
+    fresh slot (no copy for K = 1), q is zero-extended, and the curves
+    d<K> and d<n+1> parallel to the two new holes come last.  Every
+    derived automorphism is built trusted, not re-checked: a conjugate
+    or zero-extension of an automorphism is one, and so are the
+    conjugations and inner maps (see ``FreeAutomorphism.conjugation``).
     """
     g, n, m = surface.genus, surface.boundary, surface.rank
     if not 1 <= K <= n:
         raise ValueError(f"invalid boundary index {K} for {surface.name}")
-    new_n, new_m = n + 1, m + 1
-    t = new_m
-    g2 = 2 * g
-
-    def zext(v: Vector) -> Vector:
-        return tuple(v) + (0,)
-
-    def fixed_up(v: Vector, pos: int | None) -> Vector:
-        out = list(v) + [0]
-        if pos is not None:
-            out[new_m - 1] = v[pos]
-        return tuple(out)
-
-    rename_target = "g" if new_n == 2 else f"g{new_n}"
-    new_catalog: Catalog = {}
-    renames: dict[str, str] = {}
-
-    def insert(name: str, cfg: CurveConfig) -> None:
-        if name in new_catalog:
-            raise ValueError(f"curve name collision during stabilisation: {name!r}")
-        new_catalog[name] = cfg
-
+    new_n, t = n + 1, m + 1
+    ident = FreeAutomorphism.identity(t)
     if K == 1:
-        old_b1 = surface.boundary_words[0]
-        new_b1 = concat(old_b1, (-t,))
-        new_words = (new_b1,) + surface.boundary_words[1:] + ((t,),)
-        for name, cfg in catalog.items():
-            if cfg.boundary_parallel_to == 1:
-                renames[name] = rename_target
-                aut = None
-                if cfg.aut is not None:
-                    # the renamed curve now bounds the piece holding the
-                    # new basepoint boundary, the handle, and the fresh
-                    # hole; its based word is the old b_1
-                    aut = _conjugating_aut(new_m, old_b1, range(1, m + 1))
-                insert(
-                    rename_target,
-                    CurveConfig(
-                        rename_target, zext(cfg.h), zext(cfg.q), zext(cfg.p),
-                        aut=aut,
-                    ),
-                )
-            else:
-                aut = _zext_aut(cfg.aut, new_m) if cfg.aut is not None else None
-                insert(
-                    name,
-                    CurveConfig(
-                        name, zext(cfg.h), zext(cfg.q), zext(cfg.p),
-                        cfg.boundary_parallel_to, aut,
-                    ),
-                )
-        para = (0,) * g2 + (-1,) * (new_n - 1)
-        insert(
-            "d1",
-            CurveConfig(
-                "d1", para, (0,) * new_m, para,
-                boundary_parallel_to=1,
-                aut=FreeAutomorphism.inner(new_m, new_b1),
-            ),
-        )
-        fresh = tuple(1 if i == new_m - 1 else 0 for i in range(new_m))
-        k_name = f"d{new_n}"
-        insert(
-            k_name,
-            CurveConfig(
-                k_name, fresh, (0,) * new_m, fresh,
-                boundary_parallel_to=new_n,
-                aut=FreeAutomorphism.identity(new_m),
-            ),
-        )
-        stab_curve, k_curve, k_index = "d1", k_name, new_n
+        pos, sub = None, ident
+        far_word, far_side = surface.boundary_words[0], range(1, t)
+        new_b1 = concat(far_word, (-t,))
+        k_index, stab_index = new_n, 1
     else:
         zk = surface.z_letter(K)
         pos = zk - 1
-        sub = [(u,) for u in range(1, new_m + 1)]
-        sub[pos] = (zk, t)
-        new_b1 = apply_images(sub, surface.boundary_words[0])
-        new_words = (
-            (new_b1,) + surface.boundary_words[1:] + ((t,),)
+        gens = range(1, t + 1)
+        sub = FreeAutomorphism._trusted(
+            t,
+            tuple((zk, t) if u == zk else (u,) for u in gens),
+            tuple((zk, -t) if u == zk else (u,) for u in gens),
         )
-        for name, cfg in catalog.items():
-            bpt = cfg.boundary_parallel_to
-            if bpt == K:
-                renames[name] = rename_target
-                # now the curve around the continuation hole and the
-                # fresh hole; its based word is old z_K = z_K t
-                aut = None
-                if cfg.aut is not None:
-                    aut = _conjugating_aut(new_m, (zk, t), (zk, t))
-                insert(
-                    rename_target,
-                    CurveConfig(
-                        rename_target,
-                        fixed_up(cfg.h, pos), zext(cfg.q), fixed_up(cfg.p, pos),
-                        aut=aut,
-                    ),
-                )
-            elif bpt == 1:
-                aut = None
-                if cfg.aut is not None:
-                    aut = FreeAutomorphism.inner(new_m, new_b1)
-                insert(
-                    name,
-                    CurveConfig(
-                        name,
-                        fixed_up(cfg.h, pos), zext(cfg.q), fixed_up(cfg.p, pos),
-                        boundary_parallel_to=1, aut=aut,
-                    ),
-                )
-            elif bpt is not None:
-                aut = _zext_aut(cfg.aut, new_m) if cfg.aut is not None else None
-                insert(
-                    name,
-                    CurveConfig(
-                        name, zext(cfg.h), zext(cfg.q), zext(cfg.p), bpt, aut
-                    ),
-                )
-            else:
-                aut = None
-                if cfg.aut is not None and cfg.h[pos] == 0 and cfg.p[pos] == 0:
-                    aut = _substituted_aut(cfg.aut, new_m, zk)
-                insert(
-                    name,
-                    CurveConfig(
-                        name,
-                        fixed_up(cfg.h, pos), zext(cfg.q), fixed_up(cfg.p, pos),
-                        aut=aut,
-                    ),
-                )
-        cont = tuple(1 if i == pos else 0 for i in range(new_m))
-        k_curve = f"d{K}"
-        insert(
-            k_curve,
-            CurveConfig(
-                k_curve, cont, (0,) * new_m, cont,
-                boundary_parallel_to=K,
-                aut=FreeAutomorphism.identity(new_m),
-            ),
-        )
-        fresh = tuple(1 if i == new_m - 1 else 0 for i in range(new_m))
-        stab_curve = f"d{new_n}"
-        insert(
-            stab_curve,
-            CurveConfig(
-                stab_curve, fresh, (0,) * new_m, fresh,
-                boundary_parallel_to=new_n,
-                aut=FreeAutomorphism.identity(new_m),
-            ),
-        )
-        k_index = K
+        far_word = far_side = (zk, t)
+        new_b1 = sub.apply(surface.boundary_words[0])
+        k_index, stab_index = K, new_n
+    new_words = (new_b1,) + surface.boundary_words[1:] + ((t,),)
+    b1_twist = FreeAutomorphism.inner(t, new_b1)
+
+    def extend(v: Vector) -> Vector:
+        return (*v, 0 if pos is None else v[pos])
+
+    def derived_aut(cfg: CurveConfig) -> FreeAutomorphism | None:
+        bpt = cfg.boundary_parallel_to
+        if cfg.aut is None:
+            return None
+        if bpt == K:
+            return FreeAutomorphism.conjugation(t, far_word, far_side)
+        if bpt == 1:
+            return b1_twist
+        if bpt is not None:
+            return _transported_aut(cfg.aut, t, ident)
+        if pos is not None and (cfg.h[pos] or cfg.p[pos]):
+            return None
+        return _transported_aut(cfg.aut, t, sub)
+
+    def boundary_curve(i: int) -> CurveConfig:
+        h = _boundary_class(g, new_n, i)
+        return CurveConfig(f"d{i}", h, (0,) * t, h, i, b1_twist if i == 1 else ident)
+
+    new_catalog: Catalog = {}
+    renames: dict[str, str] = {}
+
+    def insert(cfg: CurveConfig) -> None:
+        if cfg.name in new_catalog:
+            raise ValueError(f"curve name collision during stabilisation: {cfg.name!r}")
+        new_catalog[cfg.name] = cfg
+
+    rename_target = "g" if new_n == 2 else f"g{new_n}"
+    for name, cfg in catalog.items():
+        bpt = cfg.boundary_parallel_to
+        if bpt == K:
+            renames[name] = name = rename_target
+            bpt = None
+        insert(CurveConfig(
+            name, extend(cfg.h), (*cfg.q, 0), extend(cfg.p), bpt, derived_aut(cfg)
+        ))
+    insert(boundary_curve(K))
+    insert(boundary_curve(new_n))
 
     new_surface = SurfaceSpec(
         g, new_n,
@@ -767,8 +660,8 @@ def stabilize(
         surface=new_surface,
         catalog=new_catalog,
         renames=renames,
-        stab_curve=stab_curve,
-        k_curve=k_curve,
+        stab_curve=f"d{stab_index}",
+        k_curve=f"d{k_index}",
         k_index=k_index,
     )
 
@@ -832,14 +725,20 @@ def catalog_from_json(text: str) -> tuple[SurfaceSpec, Catalog]:
         raise ValueError(f"config needs integer genus and boundary: {e}") from None
     standard = SurfaceSpec.standard(genus, boundary)
     if "boundary_words" in obj:
-        words = tuple(tuple(int(x) for x in w) for w in obj["boundary_words"])
+        try:
+            words = tuple(tuple(int(x) for x in w) for w in obj["boundary_words"])
+        except TypeError as e:
+            raise ValueError(f"boundary_words must be lists of integers: {e}") from None
         surface = SurfaceSpec(
             genus, boundary, standard.gen_labels, standard.rel_labels, words
         )
     else:
         surface = standard
     catalog: Catalog = {}
-    for entry in obj.get("curves", []):
+    entries = obj.get("curves", [])
+    if not isinstance(entries, list):
+        raise ValueError("curves must be a list of curve entries")
+    for entry in entries:
         try:
             name = entry["name"]
             h = tuple(int(x) for x in entry["h"])
@@ -847,6 +746,8 @@ def catalog_from_json(text: str) -> tuple[SurfaceSpec, Catalog]:
             p = tuple(int(x) for x in entry["p"])
         except (KeyError, TypeError) as e:
             raise ValueError(f"malformed curve entry: {e}") from None
+        if not isinstance(name, str):
+            raise ValueError(f"curve name must be a string, got {name!r}")
         aut = None
         if "aut" in entry:
             spec = entry["aut"]

@@ -310,6 +310,17 @@ def test_malformed_config_files(tmp_path, capsys):
         1, "error: curve 'd': boundary_parallel_to must be an integer\n"
     )
 
+    # wrongly typed containers and names: one line, never a traceback
+    for edit, message in (
+        (lambda curves, obj: obj.update(boundary_words=5), "boundary_words must be lists"),
+        (lambda curves, obj: obj.update(curves=5), "curves must be a list"),
+        (lambda curves, obj: curves["a"].update(name=["a"]), "curve name must be a string"),
+    ):
+        write(edit)
+        code, out, err = run(capsys, "validate", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: " + message) and len(err.splitlines()) == 1
+
     # absolute pairings that are not J p: every other check would pass,
     # and M derived from D would disagree with q
     path.write_text(json.dumps({

@@ -116,6 +116,24 @@ def test_inner_automorphism():
     assert compose(inner, inner.inverse()).is_identity()
 
 
+def test_trusted_conjugation_rebuilds():
+    # conjugation and inner skip the inverse check: every result must
+    # pass it when rebuilt through the validating constructor
+    rng = random.Random(10)
+    for _ in range(RANDOM_ROUNDS):
+        rank = rng.randint(1, 5)
+        moved = sorted(rng.sample(range(1, rank + 1), rng.randint(1, rank)))
+        word = tuple(rng.choice(moved) * rng.choice((1, -1)) for _ in range(rng.randint(0, 8)))
+        aut = FreeAutomorphism.conjugation(rank, word, moved)
+        assert aut == FreeAutomorphism(rank, aut.images, aut.inverse_images)
+        assert aut.apply(word) == reduce_letters(word)
+        inner = FreeAutomorphism.inner(rank, word)
+        assert inner == FreeAutomorphism.conjugation(rank, word, range(1, rank + 1))
+        assert inner == FreeAutomorphism(rank, inner.images, inner.inverse_images)
+    with pytest.raises(ValueError, match="does not move"):
+        FreeAutomorphism.conjugation(3, (1, 3), (1, 2))
+
+
 def test_compose_order():
     # compose(f, g) applies g first
     f = FreeAutomorphism.from_images(2, ((1, 2), (2,)), ((1, -2), (2,)))

@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import random
 
 import pytest
 
+from openbook.freegroup import FreeAutomorphism
 from openbook.surface import (
     boundary_parallel_curve,
     catalog_from_json,
@@ -176,6 +178,34 @@ def test_stabilize_second_component():
     assert result.catalog["s3"].aut is None
     assert result.catalog["a"].aut is not None
     assert validate_catalog(result.surface, result.catalog).ok
+
+    # K = 1: the binding moves to the fresh hole and d1 bounds both holes
+    result = stabilize(spec, catalog, 1)
+    assert result.surface.boundary_words == ((1, 2, -1, -2, -3, -4), (3,), (4,))
+    assert result.renames == {"d1": "g3"}
+    assert (result.stab_curve, result.k_curve, result.k_index) == ("d1", "d3", 3)
+    assert list(result.catalog) == [
+        "a", "b", "g", "g3", "d2", "e", "s1", "s2", "s3", "d1", "d3",
+    ]
+    assert validate_catalog(result.surface, result.catalog).ok
+
+
+def test_stabilisation_chains_stay_valid():
+    # stabilize builds every automorphism trusted: each page of a random
+    # chain must validate, and each automorphism must rebuild through
+    # the validating constructor
+    rng = random.Random(11)
+    for _ in range(40):
+        spec, catalog = load_builtin(rng.choice(["sigma11", "sigma12"]))
+        for _ in range(rng.randint(1, 5)):
+            result = stabilize(spec, catalog, rng.randint(1, spec.boundary))
+            spec, catalog = result.surface, result.catalog
+            report = validate_catalog(spec, catalog)
+            assert report.ok, str(report)
+            for cfg in catalog.values():
+                if cfg.aut is not None:
+                    aut = cfg.aut
+                    assert aut == FreeAutomorphism(aut.rank, aut.images, aut.inverse_images)
 
 
 def test_stabilize_errors():

@@ -10,9 +10,9 @@ factorisations.
 from openbook.factorsearch import (
     SearchOutcome,
     SearchProblem,
-    peel_boundary,
     search_positive,
     verify_factorisation,
+    word_weights,
 )
 from openbook.freegroup import FreeAutomorphism, FreeWord
 from openbook.homology import AbelianGroup, cokernel, h1_of_open_book, smith_normal_form
@@ -73,7 +73,6 @@ __all__ = [
     "inadmissible_surgery",
     "load_builtin",
     "neg_continued_fraction",
-    "peel_boundary",
     "presentation_matrix",
     "rational_to_chain",
     "search_positive",
@@ -83,6 +82,7 @@ __all__ = [
     "surgery",
     "validate_catalog",
     "verify_factorisation",
+    "word_weights",
 ]
 
 __version__ = "0.1.0"

@@ -7,7 +7,8 @@ Subcommands:
     h1        first homology of the closed manifold of an open book
     eval      exact automorphism and linear data of a twist word
     equal     exact equality of two monodromy words
-    search    bounded search for a positive factorisation
+    search    bounded search for a positive factorisation; --peel prints the
+              target's capping weights first, one per boundary component
     seifert   Seifert presentation and its H1
     kirby     framed-link presentation: blow-downs and H1
     validate  run the catalog checks for a builtin or config file
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 import sys
 
-from .factorsearch import SearchProblem, peel_boundary, search_positive
+from .factorsearch import SearchProblem, search_positive, word_weights
 from .freegroup import FreeWord
 from .homology import h1_of_open_book
 from .kirby import (
@@ -211,55 +212,42 @@ def _cmd_equal(tokens) -> int:
 
 
 def _cmd_search(tokens) -> int:
-    flags, _ = _parse_args(
-        tokens,
-        {
-            "--surface",
-            "--config",
-            "--target",
-            "--alphabet",
-            "--max-length",
-            "--peel",
-            "--no-prune",
-            "--json",
-        },
-    )
+    flags, _ = _parse_args(tokens, {
+        "--surface", "--config", "--target", "--alphabet", "--max-length",
+        "--peel", "--no-prune", "--json",
+    })
     spec, catalog = _load_surface(flags)
     if "--target" not in flags or "--alphabet" not in flags:
         raise UsageError("search needs --target and --alphabet")
     word = TwistWord.parse(spec, catalog, flags["--target"])
     alphabet = tuple(t.strip() for t in flags["--alphabet"].split(",") if t.strip())
     max_length = int(flags.get("--max-length", "0"))
-    mandatory: dict[str, int] = {}
-    pre_lines = []
+    pre_lines, peeled = [], {}
     if "--peel" in flags:
-        _, mandatory = peel_boundary(word)
-        pre_lines = [f"mandatory {n}: {c}" for n, c in sorted(mandatory.items())]
-    problem = SearchProblem(spec, catalog, evaluate(word), alphabet, max_length, mandatory)
+        weights = word_weights(word)
+        peeled["weights"] = None if weights is None else list(weights)
+        shown = "undecided" if weights is None else " ".join(map(str, weights))
+        pre_lines = [f"weights: {shown}"]
+    problem = SearchProblem(word, alphabet, max_length)
     outcome = search_positive(problem, prune="--no-prune" not in flags)
     json_mode = "--json" in flags
     if outcome.found:
-        _emit(
-            json_mode,
-            pre_lines + [f"found: {outcome.word.render()}"],
-            {
-                "mandatory": mandatory,
-                "found": outcome.word.render(),
-            },
-        )
+        found = outcome.word.render()
+        _emit(json_mode, pre_lines + [f"found: {found}"], {**peeled, "found": found})
         return 0
     cert = outcome.certificate
     _emit(
         json_mode,
         pre_lines + list(cert.lines()),
         {
-            "mandatory": mandatory,
+            **peeled,
             "exhausted": True,
             "alphabet": list(cert.alphabet),
             "max_length": cert.max_length,
             "nodes": cert.nodes,
             "prunes": dict(cert.prunes),
             "mode": cert.mode,
+            "any_length": cert.any_length,
         },
     )
     return 2

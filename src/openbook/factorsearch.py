@@ -8,11 +8,11 @@ returned.
 
 One routine, ``expand(stop, length, leaf, bounded)``, walks the
 canonical words of ``stop`` letters depth-first in alphabet order,
-carrying the path, its class key and the mandatory deficit, and returns
-the first non-None ``leaf(path, key)``.  Memo and canonical order apply
-whenever the search prunes; with ``bounded`` it also cuts branches that
-cannot reach the target within ``length`` letters.  The two search
-modes differ only in their leaves:
+carrying the path, its class key and the weight still to be placed, and
+returns the first non-None ``leaf(path, key)``.  The weight cut, memo
+and canonical order apply whenever the search prunes; with ``bounded``
+it also cuts branches whose homology cannot reach the target within
+``length`` letters.  The two search modes differ only in their leaves:
 
 * depth-first - one bounded walk of all L letters, whose leaf returns
   the path when its key is the target's;
@@ -48,11 +48,16 @@ match, the word the depth-first walk would have found first.
 
 Pruning never changes the outcome:
 
-* mandatory counts - a positive word equal to the target contains at
-  least max(b_i, 0) twists parallel to boundary i, where b_i is the
-  boundary-exponent delta of the target against component 1; branches
-  whose remaining budget cannot cover the deficit are cut.  No actual
-  solution path ever trips this, so cuts only remove dead wood.
+* weight - the capping weights (``surface.curve_weights``) are
+  homomorphisms, nonnegative on positive twists, so a positive word
+  equal to the target weighs what the target word does.  A length is
+  walked only if that weight is a sum of as many letter weights (each
+  skipped length counts once), and a letter is placed only if the
+  weight left is a sum of as many as letters remain, the whole prefix
+  included in the suffix walk.  When these sums (``_weight_levels``)
+  rule out every length beyond ``max_length``, or the infeasibility
+  check below fires, the certificate says no length works.  An
+  undecided weight in the target or alphabet turns the cut off.
 * homology - a product of k positive transvections I + h q^T differs
   from the identity by a matrix of rank at most k, so a branch dies
   when rank(M_prefix^-1 M_target - I) exceeds the remaining length.
@@ -82,22 +87,15 @@ Pruning never changes the outcome:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from operator import add, le, sub
 
 from .freegroup import sanov_substitute
 from .homology import matrix_rank, twist_data
-from .mcg import (
-    MappingClass,
-    TwistWord,
-    boundary_exponent_delta,
-    equal_classes,
-    evaluate,
-)
+from .mcg import MappingClass, TwistWord, equal_classes, evaluate
 from .surface import (
     CurveConfig,
-    SurfaceSpec,
-    boundary_parallel_curve,
+    curve_weights,
     identity_key,
     pair_relation,
     right_compose,
@@ -108,51 +106,44 @@ from .surface import (
 # the depth-first walk
 MITM_THRESHOLD = 200_000
 
-_PRUNE_NAMES = ("mandatory", "homology", "memo", "canonical", "infeasible")
+_PRUNE_NAMES = ("weight", "homology", "memo", "canonical", "infeasible")
 
 
 @dataclass(frozen=True)
 class SearchProblem:
-    """A target class, a positive alphabet, and a length bound."""
+    """A target word, a positive alphabet from its catalog, a length bound."""
 
-    surface: SurfaceSpec
-    catalog: Mapping[str, CurveConfig]
-    target: MappingClass
+    target: TwistWord
     alphabet: tuple[str, ...]
     max_length: int
-    mandatory: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.max_length < 0:
             raise ValueError("max_length must be nonnegative")
-        if self.target.linear_only:
+        catalog = self.target.catalog
+        if any(catalog[name].aut is None for name, _ in self.target.entries):
             raise ValueError("search target needs an exact automorphism")
-        if self.target.surface != self.surface:
-            raise ValueError("target lives on a different surface")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("alphabet curves must be distinct")
         for name in self.alphabet:
-            cfg = self.catalog.get(name)
+            cfg = catalog.get(name)
             if cfg is None:
                 raise ValueError(f"alphabet curve {name!r} is not in the catalog")
             if cfg.aut is None:
-                raise ValueError(
-                    f"alphabet curve {name!r} has no exact automorphism"
-                )
-        for name, count in self.mandatory.items():
-            if name not in self.catalog or count < 0:
-                raise ValueError(f"bad mandatory count {name!r}: {count}")
+                raise ValueError(f"alphabet curve {name!r} has no exact automorphism")
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """Reproducible record of an exhausted search."""
+    """Reproducible record of an exhausted search; ``any_length`` when
+    the search also rules out every longer word."""
 
     alphabet: tuple[str, ...]
     max_length: int
     nodes: int
     prunes: tuple[tuple[str, int], ...]
     mode: str
+    any_length: bool = False
 
     def lines(self) -> tuple[str, ...]:
         out = [
@@ -162,6 +153,8 @@ class Certificate:
         ]
         out.extend(f"pruned {name}: {count}" for name, count in self.prunes)
         out.append(f"mode: {self.mode}")
+        if self.any_length:
+            out.append("no positive factorisation over this alphabet at any length")
         return tuple(out)
 
     def __str__(self) -> str:
@@ -181,32 +174,16 @@ class SearchOutcome:
         return self.word is not None
 
 
-def peel_boundary(word: TwistWord) -> tuple[TwistWord, dict[str, int]]:
-    """Split off the boundary twists any positive factorisation of the
-    word's class must contain.
-
-    For each boundary component i >= 2 the delta b_i of the class
-    against component 1 forces at least max(b_i, 0) twists parallel to
-    boundary i and at least max(-b_i, 0) parallel to boundary 1.
-    Boundary twists are central, so appending their inverses yields a
-    well-defined residual target.
-    """
-    surface = word.surface
-    mandatory: dict[str, int] = {}
-    entries = word.entries
-    worst = 0
-    for i in range(2, surface.boundary + 1):
-        name = boundary_parallel_curve(word.catalog, i)
-        b = boundary_exponent_delta(word, i, 1)
-        worst = max(worst, -b)
-        if b > 0:
-            mandatory[name] = b
-            entries = entries + ((name, -b),)
-    if worst > 0:
-        name = boundary_parallel_curve(word.catalog, 1)
-        mandatory[name] = worst
-        entries = entries + ((name, -worst),)
-    return TwistWord(surface, word.catalog, entries), mandatory
+def word_weights(word: TwistWord) -> tuple[int, ...] | None:
+    """The capping weights of the word's class, summed over its letters
+    (``surface.curve_weights``); None when some letter's are undecided."""
+    weights = curve_weights(word.surface, word.catalog)
+    if weights is None or any(weights[name] is None for name, _ in word.entries):
+        return None
+    return tuple(
+        sum(exp * weights[name][j] for name, exp in word.entries)
+        for j in range(word.surface.boundary)
+    )
 
 
 def verify_factorisation(word: TwistWord, target: MappingClass) -> bool:
@@ -232,12 +209,20 @@ class _Curve:
         self.inverse_step = twist_step(cfg, genus, -1)
 
 
-def _moves_common_fixed(qs, target_genus_cols) -> bool:
-    """True when the target moves an abelianized vector that every
-    alphabet transvection fixes: the rows of D_target J leave the span
-    of the q.  Both vanish off the first 2g coordinates, which is all
-    the caller passes."""
-    return matrix_rank(qs + target_genus_cols) > matrix_rank(qs)
+def _weight_levels(target, letters, count: int) -> list[set]:
+    """Level k < ``count``: the sums of k letter weights within ``target``.
+    Each level follows from the one before, so the list ends early at an
+    empty or repeated level, which then stands for every longer length;
+    bounded sums reach one, as they grow with every letter or, with a
+    weightless letter, each level contains the one before."""
+    levels = [{(0,) * len(target)} if min(target, default=0) >= 0 else set()]
+    while levels[-1] and len(levels) < count:
+        sums = {tuple(map(add, v, w)) for v in levels[-1] for w in letters}
+        level = {v for v in sums if all(map(le, v, target))}
+        if level == levels[-1]:
+            break
+        levels.append(level)
+    return levels
 
 
 def _rank_bound_ok(d_prefix, target_genus_cols, remaining: int) -> bool:
@@ -253,28 +238,30 @@ def _rank_bound_ok(d_prefix, target_genus_cols, remaining: int) -> bool:
 def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome:
     """Iterative-deepening exhaustive search; see the module docstring
     for the strategy and the soundness of each prune."""
-    surface = problem.surface
+    word = problem.target
+    surface, catalog = word.surface, word.catalog
     genus = surface.genus
-    curves = [_Curve(n, problem.catalog[n], genus) for n in problem.alphabet]
+    curves = [_Curve(n, catalog[n], genus) for n in problem.alphabet]
     start_key = identity_key(surface.rank)
     # (j, i) for i < j when the twists of the two letters commute
     commute = {
         (j, i) for j, cj in enumerate(curves) for i in range(j)
         if prune and pair_relation(genus, cj.cfg, curves[i].cfg) == "commute"
     }
-    target = problem.target
+    target = evaluate(word)
     target_key = (sanov_substitute(start_key[0], target.exact.images), target.D)
     target_genus_cols = tuple(row[:2 * genus] for row in target.D)
-    index_of = {c.name: i for i, c in enumerate(curves)}
-    required = {
-        index_of[name]: count
-        for name, count in sorted(problem.mandatory.items())
-        if count > 0 and name in index_of
-    }
-    unreachable_mandatory = any(
-        count > 0 and name not in index_of
-        for name, count in problem.mandatory.items()
-    )
+    # levels up to max_length + 1 decide every length; without weights
+    # every level holds the empty vector and nothing is cut
+    weights = curve_weights(surface, catalog) or {}
+    target_w = word_weights(word) if prune else None
+    letter_w = [weights.get(name) for name in problem.alphabet]
+    levels, count = [{()}], problem.max_length + 2
+    if target_w is None or None in letter_w:
+        target_w, letter_w = (), [()] * len(curves)
+    else:
+        levels = _weight_levels(target_w, letter_w, count)
+    last = len(levels) - 1
     prune_counts = dict.fromkeys(_PRUNE_NAMES, 0)
     nodes = 0
     mode = "iddfs"
@@ -285,74 +272,47 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
     if prune and curves and len(curves) ** cap > MITM_THRESHOLD:
         mode = "mitm"
 
-    def certificate() -> SearchOutcome:
-        return SearchOutcome(
-            None,
-            Certificate(
-                problem.alphabet,
-                problem.max_length,
-                nodes,
-                tuple((n, prune_counts[n]) for n in _PRUNE_NAMES),
-                mode,
-            ),
-        )
-
-    if unreachable_mandatory or (
-        prune
-        and curves
-        and _moves_common_fixed(tuple(c.q for c in curves), target_genus_cols)
-    ):
-        prune_counts["infeasible"] = 1
-        return certificate()
-
-    deficit0 = sum(required.values())
-
     def expand(stop, length, leaf, bounded):
         """Walk the canonical words of ``stop`` letters depth-first in
-        alphabet order and return the first non-None ``leaf(path, key)``.
-        With ``bounded``, cut branches that cannot be completed to a
-        target word of ``length`` letters."""
+        alphabet order and return the first non-None ``leaf(path, key)``;
+        cut by weight towards ``length`` letters, and with ``bounded`` by
+        homology too."""
         memo: set = set()
-        counts = dict.fromkeys(required, 0)
 
-        def visit(path, key, deficit, last):
+        def visit(path, key, rest, last_letter):
             nonlocal nodes
             nodes += 1
             depth = len(path)
             if depth == stop:
                 return leaf(path, key)
             if prune:
-                if bounded:
-                    remaining = length - depth
-                    if deficit > remaining:
-                        prune_counts["mandatory"] += 1
-                        return None
-                    if not _rank_bound_ok(key[1], target_genus_cols, remaining):
-                        prune_counts["homology"] += 1
-                        return None
-                memo_key = (key, depth, last)
+                if bounded and not _rank_bound_ok(
+                    key[1], target_genus_cols, length - depth
+                ):
+                    prune_counts["homology"] += 1
+                    return None
+                memo_key = (key, depth, last_letter)
                 if memo_key in memo:
                     prune_counts["memo"] += 1
                     return None
+            # what the other length - depth - 1 letters can carry
+            after = levels[min(length - depth - 1, last)]
             for i, c in enumerate(curves):
-                if (last, i) in commute:
+                if (last_letter, i) in commute:
                     prune_counts["canonical"] += 1
                     continue
-                new_deficit = deficit
-                if i in counts:
-                    counts[i] += 1
-                    if counts[i] <= required[i]:
-                        new_deficit -= 1
-                hit = visit(path + (c,), right_compose(key, c.step), new_deficit, i)
-                if i in counts:
-                    counts[i] -= 1
+                left = tuple(map(sub, rest, letter_w[i]))
+                if left not in after:
+                    prune_counts["weight"] += 1
+                    continue
+                hit = visit(path + (c,), right_compose(key, c.step), left, i)
                 if hit is not None:
                     return hit
             if prune:
                 memo.add(memo_key)
             return None
 
-        return visit((), start_key, deficit0, -1)
+        return visit((), start_key, target_w, -1)
 
     def meet_in_middle(length: int):
         # canonical suffixes S, keyed by T o S^-1; the first stored per key
@@ -383,14 +343,33 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
     def at_target(path, key):
         return path if key == target_key else None
 
-    for length in range(problem.max_length + 1):
+    top = problem.max_length
+    # infeasible when the rows of D_target J leave the span of the q (both
+    # read on their first 2g coordinates, off which they vanish)
+    qs = tuple(c.q for c in curves)
+    if prune and curves and matrix_rank(qs + target_genus_cols) > matrix_rank(qs):
+        prune_counts["infeasible"] = 1
+        top = -1
+    elif not levels[-1]:
+        # the last level is empty, and so is every longer one
+        top = min(top, last)
+        prune_counts["weight"] += problem.max_length - top
+    for length in range(top + 1):
+        if target_w not in levels[min(length, last)]:
+            prune_counts["weight"] += 1
+            continue
         if mode == "mitm" and length >= 2:
             path = meet_in_middle(length)
         else:
             path = expand(length, length, at_target, True)
         if path is not None:
-            hit = TwistWord(surface, problem.catalog, tuple((c.name, 1) for c in path))
+            hit = TwistWord(surface, catalog, tuple((c.name, 1) for c in path))
             if not verify_factorisation(hit, target):
                 raise RuntimeError(f"search found {hit}, which is not the target class")
             return SearchOutcome(hit, None)
-    return certificate()
+    closed = len(levels) < count or not levels[-1]  # see _weight_levels
+    any_length = prune_counts["infeasible"] == 1 or (closed and target_w not in levels[-1])
+    return SearchOutcome(None, Certificate(
+        problem.alphabet, problem.max_length, nodes,
+        tuple(prune_counts.items()), mode, any_length,
+    ))

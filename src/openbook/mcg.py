@@ -160,11 +160,7 @@ class MappingClass:
 
 
 def identity_class(surface: SurfaceSpec) -> MappingClass:
-    return MappingClass(
-        surface,
-        FreeAutomorphism.identity(surface.rank),
-        zero_matrix(surface.rank),
-    )
+    return evaluate(TwistWord(surface, {}, ()))
 
 
 def evaluate(word: TwistWord) -> MappingClass:
@@ -219,29 +215,24 @@ def equal_classes(a: MappingClass, b: MappingClass) -> bool:
     return a.exact == b.exact and a.D == b.D
 
 
-def _boundary_parallel_names(
-    catalog: Mapping[str, CurveConfig], i: int
-) -> tuple[str, ...]:
-    names = tuple(
-        name for name, cfg in catalog.items() if cfg.boundary_parallel_to == i
-    )
-    if not names:
-        raise ValueError(f"no boundary-parallel curve for component {i} in catalog")
-    return names
-
-
 def boundary_exponent_delta(word: TwistWord, i: int, j: int) -> int:
     """Total signed exponent of twists parallel to boundary i minus the
-    same count for boundary j.
+    same count for boundary j, counted on the word.
 
-    For words equal as mapping classes this difference agrees; it is the
-    obstruction invariant that drives the positive-factorisation bound.
+    It agrees with (cap_i - cap_j) / 12 (``surface.curve_weights``) only
+    where no separating curve but a boundary-parallel one splits i from
+    j: on Sigma_{1,3} the lantern relation d2 d3 a n = g3 n1 n2 (a, n,
+    n1, n2 nonseparating) moves the count for (2, 1) from 1 to 0 and
+    keeps every weight.
     """
-    names_i = set(_boundary_parallel_names(word.catalog, i))
-    names_j = set(_boundary_parallel_names(word.catalog, j))
-    count_i = sum(e for n, e in word.entries if n in names_i)
-    count_j = sum(e for n, e in word.entries if n in names_j)
-    return count_i - count_j
+    counts = {i: 0, j: 0}
+    if not counts.keys() <= {c.boundary_parallel_to for c in word.catalog.values()}:
+        raise ValueError(f"no boundary-parallel curve for component {i} or {j}")
+    for name, exp in word.entries:
+        bpt = word.catalog[name].boundary_parallel_to
+        if bpt in counts:
+            counts[bpt] += exp
+    return counts[i] - counts[j]
 
 
 _MOVES = ("braid", "commute", "chain", "lantern")

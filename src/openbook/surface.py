@@ -124,12 +124,6 @@ class SurfaceSpec:
         )
         return cls(genus, boundary, tuple(gen), tuple(rel), words)
 
-    def z_letter(self, i: int) -> int:
-        """Generator index of the loop around boundary component i >= 2."""
-        if not 2 <= i <= self.boundary:
-            raise ValueError(f"no z generator for boundary component {i}")
-        return 2 * self.genus + i - 1
-
 
 @dataclass(frozen=True)
 class CurveConfig:
@@ -161,12 +155,20 @@ class CurveConfig:
 Catalog = dict[str, CurveConfig]
 
 
-def _boundary_class(genus: int, boundary: int, i: int) -> Vector:
-    """h (and p) of the curve parallel to boundary component i."""
-    g2 = 2 * genus
+def _boundary_curve(
+    spec: SurfaceSpec, i: int, aut: FreeAutomorphism | None = None
+) -> CurveConfig:
+    """d<i>, parallel to boundary component i: h = p is the class of that
+    component, and the twist ``aut`` is inner(b_1) for i = 1 and trivial
+    on pi_1 otherwise (built when not given)."""
+    m, g2 = spec.rank, 2 * spec.genus
     if i == 1:
-        return (0,) * g2 + (-1,) * (boundary - 1)
-    return tuple(1 if j == g2 + i - 2 else 0 for j in range(g2 + boundary - 1))
+        h = (0,) * g2 + (-1,) * (spec.boundary - 1)
+        aut = aut or FreeAutomorphism.inner(m, spec.boundary_words[0])
+    else:
+        h = tuple(1 if j == g2 + i - 2 else 0 for j in range(m))
+        aut = aut or FreeAutomorphism.identity(m)
+    return CurveConfig(f"d{i}", h, (0,) * m, h, i, aut)
 
 
 @lru_cache(maxsize=None)
@@ -288,6 +290,17 @@ def right_compose(key, step):
     return sanov_substitute(rho, images), append_twist(d, jh, h, p)
 
 
+def _class_key(genus: int, rank: int, curves: Sequence[CurveConfig]):
+    """Class key of the word of positive twists about ``curves``; raises
+    for a curve without an exact automorphism."""
+    key = identity_key(rank)
+    for cfg in curves:
+        if cfg.aut is None:
+            raise ValueError(f"missing automorphism for curve {cfg.name!r}")
+        key = right_compose(key, twist_step(cfg, genus))
+    return key
+
+
 def pair_relation(genus: int, u: CurveConfig, v: CurveConfig) -> str | None:
     """"commute" when u v and v u have one class key, "braid" when
     |q_u . h_v| = 1 and u v u and v u v have one key, else None.
@@ -316,6 +329,51 @@ def _pair_relation(genus: int, u: CurveConfig, v: CurveConfig) -> str | None:
     if abs(dot(u.q, v.h)) == 1 and right_compose(uv, su) == right_compose(vu, sv):
         return "braid"
     return None
+
+
+def curve_weights(
+    spec: SurfaceSpec, catalog: Mapping[str, CurveConfig]
+) -> dict[str, Vector | None] | None:
+    """The capping weights of each curve's positive twist, None for a
+    curve whose weights are undecided; None off genus 1.
+
+    Capping all boundary components but j maps Mod(Sigma_{1,r}) to
+    Mod(Sigma_{1,1}) = B_3, whose abelianisation makes weight j 1 for a
+    nonseparating curve (the genus part of h is nonzero), 12 for a
+    separating curve whose planar side B holds component j ((a b)^6 is
+    the boundary twist), else 0.  The r weights carry all of
+    H_1(Mod(Sigma_{1,r})) = Z^r (Korkmaz 2002).  h = +-(the z_i, i in T)
+    leaves B = T or its complement; a side of at most one component is
+    tested against the class key of the identity or d<i>.  Undecided:
+    both sides have two or more components (r >= 4), the test needs a
+    missing automorphism, or h has no such form.
+    """
+    if spec.genus != 1:
+        return None
+    r, m = spec.boundary, spec.rank
+    weights: dict[str, Vector | None] = dict.fromkeys(catalog)
+
+    def side_key(side):
+        """Key of the twist about d<i> for side (i,), or a trivial curve for ()."""
+        return _class_key(1, m, [_boundary_curve(spec, i) for i in side])
+
+    for name, cfg in catalog.items():
+        if any(cfg.h[:2]):
+            weights[name] = (1,) * r
+            continue
+        if cfg.boundary_parallel_to is not None:
+            sides = [(cfg.boundary_parallel_to,)]
+        elif cfg.aut is not None and set(cfg.h[2:]) - {0} in (set(), {1}, {-1}):
+            t = tuple(i for i in range(2, r + 1) if cfg.h[i])
+            both = (t, tuple(j for j in range(1, r + 1) if j not in t))
+            own = _class_key(1, m, [cfg])
+            sides = [s for s in both if len(s) < 2 and side_key(s) == own]
+            sides = sides or [s for s in both if len(s) > 1]
+        else:
+            continue
+        if len(sides) == 1:
+            weights[name] = tuple(12 if j in sides[0] else 0 for j in range(1, r + 1))
+    return weights
 
 
 # chain and lantern (lhs, rhs) by surface name: the only name-keyed relations
@@ -405,9 +463,7 @@ def validate_catalog(surface: SurfaceSpec, catalog: Mapping[str, CurveConfig]) -
     checks: list[CheckResult] = []
 
     def add(name: str, failures: list[str]) -> None:
-        checks.append(
-            CheckResult(name, not failures, "; ".join(failures))
-        )
+        checks.append(CheckResult(name, not failures, "; ".join(failures)))
 
     failures = []
     for key, cfg in catalog.items():
@@ -429,63 +485,45 @@ def validate_catalog(surface: SurfaceSpec, catalog: Mapping[str, CurveConfig]) -
     if failures:
         return ValidationReport(tuple(checks))
 
-    failures = []
-    for key, cfg in catalog.items():
-        if cfg.aut is None:
-            continue
-        expected = mat_add(identity_matrix(m), outer(cfg.h, cfg.q))
-        if cfg.aut.abelianize() != expected:
-            failures.append(f"curve {key}: abelianisation is not I + h q^T")
-    add("transvection", failures)
-
-    failures = []
-    for key, cfg in catalog.items():
-        if cfg.aut is not None and abs(det(cfg.aut.abelianize())) != 1:
-            failures.append(f"curve {key}: automorphism not unimodular")
-    add("unimodular", failures)
-
-    # q = Omega h: <y_i, x_i> = 1, and the boundary loops pair to 0
-    failures = []
-    for key, cfg in catalog.items():
-        omega_h = sum(((-cfg.h[k + 1], cfg.h[k]) for k in range(0, g2, 2)), ())
-        if cfg.q != omega_h + (0,) * (m - g2):
-            failures.append(f"curve {key}: q != Omega h")
-    add("separating_q", failures)
-
-    failures = []
-    for key, cfg in catalog.items():
-        i = cfg.boundary_parallel_to
-        if i is None:
-            continue
-        want_h = _boundary_class(surface.genus, surface.boundary, i)
-        if cfg.h != want_h or cfg.p != want_h or any(cfg.q):
-            failures.append(
-                f"curve {key}: data does not match a curve parallel to boundary {i}"
-            )
-    add("boundary_parallel_data", failures)
-
-    failures = []
+    # the other per-curve checks in one pass: (check, detail) in catalog order
+    failed: list[tuple[str, str]] = []
     b1 = surface.boundary_words[0]
     for key, cfg in catalog.items():
-        if cfg.aut is None:
-            continue
-        if cfg.aut.apply(b1) != b1:
-            failures.append(f"curve {key}: does not fix the basepoint boundary word")
-        for i in range(1, surface.boundary):
-            bi = surface.boundary_words[i]
-            if not are_conjugate(cfg.aut.apply(bi), bi):
-                failures.append(
-                    f"curve {key}: moves boundary word {i + 1} off its conjugacy class"
+        problems = []
+        # q = Omega h: <y_i, x_i> = 1, and the boundary loops pair to 0
+        omega_h = sum(((-cfg.h[k + 1], cfg.h[k]) for k in range(0, g2, 2)), ())
+        if cfg.q != omega_h + (0,) * (m - g2):
+            problems.append(("separating_q", "q != Omega h"))
+        i = cfg.boundary_parallel_to
+        if i is not None:
+            want_h = _boundary_curve(surface, i).h
+            if cfg.h != want_h or cfg.p != want_h or any(cfg.q):
+                problems.append((
+                    "boundary_parallel_data",
+                    f"data does not match a curve parallel to boundary {i}",
+                ))
+        if cfg.aut is not None:
+            abelian = cfg.aut.abelianize()
+            if abelian != mat_add(identity_matrix(m), outer(cfg.h, cfg.q)):
+                problems.append(("transvection", "abelianisation is not I + h q^T"))
+            if abs(det(abelian)) != 1:
+                problems.append(("unimodular", "automorphism not unimodular"))
+            if cfg.aut.apply(b1) != b1:
+                problems.append(
+                    ("boundary_words", "does not fix the basepoint boundary word")
                 )
-    add("boundary_words", failures)
-
-    def word_key(names: Sequence[str]):
-        key = identity_key(m)
-        for name in names:
-            if catalog[name].aut is None:
-                raise ValueError(f"missing automorphism for curve {name!r}")
-            key = right_compose(key, twist_step(catalog[name], surface.genus))
-        return key
+            for k, bk in enumerate(surface.boundary_words[1:], 2):
+                if not are_conjugate(cfg.aut.apply(bk), bk):
+                    problems.append((
+                        "boundary_words",
+                        f"moves boundary word {k} off its conjugacy class",
+                    ))
+        failed += [(check, f"curve {key}: {detail}") for check, detail in problems]
+    for name in (
+        "transvection", "unimodular", "separating_q",
+        "boundary_parallel_data", "boundary_words",
+    ):
+        add(name, [detail for check, detail in failed if check == name])
 
     for kind in ("chain", "lantern"):
         failures = []
@@ -496,7 +534,10 @@ def validate_catalog(surface: SurfaceSpec, catalog: Mapping[str, CurveConfig]) -
             if gone:
                 failures.append("curves not in catalog: " + ", ".join(gone))
             else:
-                (rho_l, d_l), (rho_r, d_r) = word_key(lhs), word_key(rhs)
+                (rho_l, d_l), (rho_r, d_r) = (
+                    _class_key(surface.genus, m, [catalog[n] for n in side])
+                    for side in (lhs, rhs)
+                )
                 if rho_l != rho_r:
                     failures.append(f"{kind} relation fails on automorphisms")
                 if d_l != d_r:
@@ -513,16 +554,14 @@ class StabResult:
     ``renames`` maps old curve names to new ones (curves whose
     boundary-parallel status the new handle destroyed); ``stab_curve``
     names the boundary-parallel curve whose positive twist the
-    stabilisation appends; ``k_curve`` names the curve parallel to the
-    boundary component that now carries the stabilised binding, which
-    sits at boundary index ``k_index``.
+    stabilisation appends; the stabilised binding now sits at boundary
+    index ``k_index``, parallel to d<k_index>.
     """
 
     surface: SurfaceSpec
     catalog: Catalog
     renames: dict[str, str]
     stab_curve: str
-    k_curve: str
     k_index: int
 
 
@@ -583,7 +622,7 @@ def stabilize(
         new_b1 = concat(far_word, (-t,))
         k_index, stab_index = new_n, 1
     else:
-        zk = surface.z_letter(K)
+        zk = 2 * g + K - 1  # the generator z_K
         pos = zk - 1
         gens = range(1, t + 1)
         sub = FreeAutomorphism._trusted(
@@ -594,7 +633,12 @@ def stabilize(
         far_word = far_side = (zk, t)
         new_b1 = sub.apply(surface.boundary_words[0])
         k_index, stab_index = K, new_n
-    new_words = (new_b1,) + surface.boundary_words[1:] + ((t,),)
+    new_surface = SurfaceSpec(
+        g, new_n,
+        surface.gen_labels + (f"z{new_n}",),
+        surface.rel_labels + (f"A{new_n}",),
+        (new_b1,) + surface.boundary_words[1:] + ((t,),),
+    )
     b1_twist = FreeAutomorphism.inner(t, new_b1)
 
     def extend(v: Vector) -> Vector:
@@ -614,10 +658,6 @@ def stabilize(
             return None
         return _transported_aut(cfg.aut, t, sub)
 
-    def boundary_curve(i: int) -> CurveConfig:
-        h = _boundary_class(g, new_n, i)
-        return CurveConfig(f"d{i}", h, (0,) * t, h, i, b1_twist if i == 1 else ident)
-
     new_catalog: Catalog = {}
     renames: dict[str, str] = {}
 
@@ -635,15 +675,8 @@ def stabilize(
         insert(CurveConfig(
             name, extend(cfg.h), (*cfg.q, 0), extend(cfg.p), bpt, derived_aut(cfg)
         ))
-    insert(boundary_curve(K))
-    insert(boundary_curve(new_n))
-
-    new_surface = SurfaceSpec(
-        g, new_n,
-        surface.gen_labels + (f"z{new_n}",),
-        surface.rel_labels + (f"A{new_n}",),
-        new_words,
-    )
+    insert(_boundary_curve(new_surface, K, b1_twist if K == 1 else ident))
+    insert(_boundary_curve(new_surface, new_n, ident))
 
     # stabilising the builtin one-holed torus reproduces the builtin
     # two-holed page; hand back its full nine-curve catalog
@@ -661,7 +694,6 @@ def stabilize(
         catalog=new_catalog,
         renames=renames,
         stab_curve=f"d{stab_index}",
-        k_curve=f"d{k_index}",
         k_index=k_index,
     )
 
@@ -706,11 +738,24 @@ def catalog_to_json(surface: SurfaceSpec, catalog: Mapping[str, CurveConfig]) ->
     return json.dumps(obj, indent=2)
 
 
+def _ints(value, message: str, depth: int = 1):
+    """A JSON list of integers (of such lists, for depth 2) as tuples.
+    Only JSON integers count: ``int(x)`` would also take 1.9, true and "0"."""
+    if not isinstance(value, list):
+        raise ValueError(message)
+    if depth > 1:
+        return tuple(_ints(v, message, depth - 1) for v in value)
+    if any(type(x) is not int for x in value):
+        raise ValueError(message)
+    return tuple(value)
+
+
 def catalog_from_json(text: str) -> tuple[SurfaceSpec, Catalog]:
     """Parse the JSON schema back into a surface and catalog.
 
     ``boundary_words`` may be omitted, in which case the canonical
-    words of the signature are used.
+    words of the signature are used.  Every number must be a JSON
+    integer.
     """
     try:
         obj = json.loads(text)
@@ -718,22 +763,17 @@ def catalog_from_json(text: str) -> tuple[SurfaceSpec, Catalog]:
         raise ValueError(
             f"parse error at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from None
-    try:
-        genus = int(obj["genus"])
-        boundary = int(obj["boundary"])
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"config needs integer genus and boundary: {e}") from None
-    standard = SurfaceSpec.standard(genus, boundary)
+    if not isinstance(obj, dict) or any(
+        type(obj.get(k)) is not int for k in ("genus", "boundary")
+    ):
+        raise ValueError("config needs integer genus and boundary")
+    genus, boundary = obj["genus"], obj["boundary"]
+    surface = SurfaceSpec.standard(genus, boundary)
     if "boundary_words" in obj:
-        try:
-            words = tuple(tuple(int(x) for x in w) for w in obj["boundary_words"])
-        except TypeError as e:
-            raise ValueError(f"boundary_words must be lists of integers: {e}") from None
+        words = _ints(obj["boundary_words"], "boundary_words must be lists of integers", 2)
         surface = SurfaceSpec(
-            genus, boundary, standard.gen_labels, standard.rel_labels, words
+            genus, boundary, surface.gen_labels, surface.rel_labels, words
         )
-    else:
-        surface = standard
     catalog: Catalog = {}
     entries = obj.get("curves", [])
     if not isinstance(entries, list):
@@ -741,22 +781,24 @@ def catalog_from_json(text: str) -> tuple[SurfaceSpec, Catalog]:
     for entry in entries:
         try:
             name = entry["name"]
-            h = tuple(int(x) for x in entry["h"])
-            q = tuple(int(x) for x in entry["q"])
-            p = tuple(int(x) for x in entry["p"])
+            vectors = [entry[k] for k in ("h", "q", "p")]
         except (KeyError, TypeError) as e:
             raise ValueError(f"malformed curve entry: {e}") from None
         if not isinstance(name, str):
             raise ValueError(f"curve name must be a string, got {name!r}")
+        h, q, p = (
+            _ints(v, f"curve {name!r}: {k} must be a list of integers")
+            for k, v in zip("hqp", vectors)
+        )
         aut = None
         if "aut" in entry:
             spec = entry["aut"]
             try:
-                aut = FreeAutomorphism.from_images(
-                    surface.rank,
-                    [tuple(int(x) for x in w) for w in spec["images"]],
-                    [tuple(int(x) for x in w) for w in spec["inverse_images"]],
+                images, inverse_images = (
+                    _ints(spec[k], f"{k} must be lists of integers", 2)
+                    for k in ("images", "inverse_images")
                 )
+                aut = FreeAutomorphism.from_images(surface.rank, images, inverse_images)
             except (KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"curve {name!r}: bad automorphism: {e}") from None
         if name in catalog:

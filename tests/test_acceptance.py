@@ -32,6 +32,7 @@ from openbook.mcg import (
 from openbook.factorsearch import SearchProblem, search_positive, verify_factorisation
 from openbook.surface import (
     boundary_parallel_curve,
+    curve_weights,
     load_builtin,
     relation_tables,
     stabilize,
@@ -165,6 +166,14 @@ def test_criterion_08_boundary_exponent_invariance():
     with criterion(8, 60.0):
         spec, catalog = load_builtin("sigma12")
         names = sorted(catalog)
+        weights = curve_weights(spec, catalog)
+
+        def weight(word):
+            # the capping weights, a class invariant on any page
+            return tuple(
+                sum(e * weights[n][j] for n, e in word.entries) for j in range(2)
+            )
+
         rng = random.Random(8)
         applications = 0
         while applications < 10_000:
@@ -175,9 +184,11 @@ def test_criterion_08_boundary_exponent_invariance():
             word = TwistWord.parse(spec, catalog, text)
             base = evaluate(word)
             delta = boundary_exponent_delta(word, 2, 1)
+            base_weight = weight(word)
             for move, position, direction in applicable_moves(word):
                 other = apply_relation(word, move, position, direction)
                 assert boundary_exponent_delta(other, 2, 1) == delta
+                assert weight(other) == base_weight
                 assert equal_classes(base, evaluate(other))
                 applications += 1
 
@@ -185,30 +196,29 @@ def test_criterion_08_boundary_exponent_invariance():
 def test_criterion_09_search_positive_cases():
     with criterion(9, 60.0):
         spec, catalog = load_builtin("sigma12")
-        target = evaluate(TwistWord.parse(spec, catalog, "d1 d2 e^2"))
-        outcome = search_positive(
-            SearchProblem(spec, catalog, target, ("s1", "s2", "s3"), 3)
-        )
+        word = TwistWord.parse(spec, catalog, "d1 d2 e^2")
+        outcome = search_positive(SearchProblem(word, ("s1", "s2", "s3"), 3))
         assert outcome.found and outcome.word.length == 3
-        assert verify_factorisation(outcome.word, target)
+        assert verify_factorisation(outcome.word, evaluate(word))
 
         spec, catalog = load_builtin("sigma11")
-        target = evaluate(TwistWord.parse(spec, catalog, "d"))
-        outcome = search_positive(SearchProblem(spec, catalog, target, ("a", "b"), 12))
+        word = TwistWord.parse(spec, catalog, "d")
+        outcome = search_positive(SearchProblem(word, ("a", "b"), 12))
         assert outcome.found and outcome.word.length == 12
-        assert verify_factorisation(outcome.word, target)
+        assert verify_factorisation(outcome.word, evaluate(word))
 
 
 def test_criterion_10_search_obstruction_certificate():
     with criterion(10, 600.0):
         spec, catalog = load_builtin("sigma12")
-        target = evaluate(TwistWord.parse(spec, catalog, "a b g^-1 d1 d2^4"))
+        target = TwistWord.parse(spec, catalog, "a b g^-1 d1 d2^4")
         alphabet = ("a", "b", "g", "d1", "d2", "e", "s1", "s2", "s3")
-        problem = SearchProblem(spec, catalog, target, alphabet, 8)
+        problem = SearchProblem(target, alphabet, 8)
         first = search_positive(problem)
         assert not first.found
         assert first.certificate is not None
         assert first.certificate.max_length == 8
+        assert first.certificate.any_length  # the weights force length 5
         second = search_positive(problem)
         assert second == first  # the certificate is reproducible
 

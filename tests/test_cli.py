@@ -129,6 +129,8 @@ def test_search_found(capsys):
 
 
 def test_search_exhausted(capsys):
+    # the weights force length 12 (twelve nonseparating twists make the
+    # boundary twist), so every length up to 3 is skipped unwalked
     code, out, _ = run(
         capsys,
         "search", "--surface", "sigma11", "--target", "d",
@@ -138,9 +140,9 @@ def test_search_exhausted(capsys):
     assert out.splitlines() == [
         "exhausted: no positive factorisation up to length 3",
         "alphabet: a b",
-        "nodes: 22",
-        "pruned mandatory: 0",
-        "pruned homology: 2",
+        "nodes: 0",
+        "pruned weight: 4",
+        "pruned homology: 0",
         "pruned memo: 0",
         "pruned canonical: 0",
         "pruned infeasible: 0",
@@ -153,9 +155,10 @@ def test_search_exhausted(capsys):
     )
     assert code == 2
     payload = json.loads(out)
-    assert payload["exhausted"] is True
-    assert payload["nodes"] == 22
-    assert payload["prunes"]["homology"] == 2
+    assert payload["exhausted"] is True and payload["any_length"] is False
+    assert payload["nodes"] == 0
+    assert payload["prunes"]["weight"] == 4
+    assert "weights" not in payload
     # switching the pruning off still exhausts, over strictly more nodes
     code, out, _ = run(
         capsys,
@@ -174,46 +177,73 @@ def test_search_peel(capsys):
     )
     assert code == 2
     lines = out.splitlines()
-    assert lines[0] == "mandatory d2: 3"
+    assert lines[0] == "weights: 2 38"
     assert lines[1] == "exhausted: no positive factorisation up to length 2"
     assert "nodes: 0" in lines
     assert "pruned infeasible: 1" in lines
+    assert lines[-1] == "no positive factorisation over this alphabet at any length"
+    code, out, _ = run(
+        capsys,
+        "search", "--surface", "sigma12", "--target", "d1 d2 e^2",
+        "--alphabet", "s1,s2,s3", "--max-length", "3", "--peel", "--json",
+    )
+    assert (code, json.loads(out)) == (0, {"weights": [14, 14], "found": "s1 s2 s3"})
+
+
+_PHI_CERTIFICATE = (
+    "exhausted: no positive factorisation up to length 8\n"
+    "alphabet: a b g d1 d2 e s1 s2 s3\n"
+    "nodes: 94\n"
+    "pruned weight: 144\n"
+    "pruned homology: 0\n"
+    "pruned memo: 4\n"
+    "pruned canonical: 96\n"
+    "pruned infeasible: 0\n"
+    "mode: mitm\n"
+    "no positive factorisation over this alphabet at any length\n"
+)
 
 
 def test_search_phi_certificate(capsys):
-    # the paper's obstruction: phi has no positive factorisation up to
-    # length 8; every count of the certificate is pinned
+    # the paper's obstruction: the weights (2, 38) of phi force length 5
+    # exactly, so the length-8 search walks that length alone and proves
+    # that no positive factorisation exists at any length
     argv = (
         "search", "--surface", "sigma12", "--target", "a b g^-1 d1 d2^4",
         "--alphabet", "a,b,g,d1,d2,e,s1,s2,s3", "--max-length", "8",
     )
     code, out, err = run(capsys, *argv)
-    assert (code, err) == (2, "")
-    assert out == (
-        "exhausted: no positive factorisation up to length 8\n"
-        "alphabet: a b g d1 d2 e s1 s2 s3\n"
-        "nodes: 6018\n"
-        "pruned mandatory: 0\n"
-        "pruned homology: 1\n"
-        "pruned memo: 185\n"
-        "pruned canonical: 3610\n"
-        "pruned infeasible: 0\n"
-        "mode: mitm\n"
-    )
+    assert (code, out, err) == (2, _PHI_CERTIFICATE, "")
     code, out, err = run(capsys, *argv, "--peel")
-    assert (code, err) == (2, "")
-    assert out == (
-        "mandatory d2: 3\n"
-        "exhausted: no positive factorisation up to length 8\n"
-        "alphabet: a b g d1 d2 e s1 s2 s3\n"
-        "nodes: 5960\n"
-        "pruned mandatory: 10\n"
-        "pruned homology: 0\n"
-        "pruned memo: 185\n"
-        "pruned canonical: 3587\n"
-        "pruned infeasible: 0\n"
-        "mode: mitm\n"
+    assert (code, out, err) == (2, "weights: 2 38\n" + _PHI_CERTIFICATE, "")
+
+
+def test_search_phi_family_at_every_length(capsys):
+    # phi_R = a b g^-1 d1 d2^(R-1) has weights (2, 12 R - 22): every
+    # positive factorisation has length R, and a search to R rules out all
+    for R in (2, 5, 13, 50):
+        for peel in ((), ("--peel",)):
+            code, out, err = run(
+                capsys,
+                "search", "--surface", "sigma12",
+                "--target", f"a b g^-1 d1 d2^{R - 1}",
+                "--alphabet", "a,b,g,d1,d2,e,s1,s2,s3",
+                "--max-length", str(R), *peel,
+            )
+            lines = out.splitlines()
+            assert (code, err) == (2, "")
+            assert lines[-1] == (
+                "no positive factorisation over this alphabet at any length"
+            )
+            if peel:
+                assert lines[0] == f"weights: 2 {12 * R - 22}"
+    # one length short of R, the any-length line is withheld
+    code, out, _ = run(
+        capsys,
+        "search", "--surface", "sigma12", "--target", "a b g^-1 d1 d2^4",
+        "--alphabet", "a,b,g,d1,d2,e,s1,s2,s3", "--max-length", "4",
     )
+    assert code == 2 and out.splitlines()[-1] == "mode: iddfs"
 
 
 def test_seifert(capsys):
@@ -315,6 +345,8 @@ def test_malformed_config_files(tmp_path, capsys):
         (lambda curves, obj: obj.update(boundary_words=5), "boundary_words must be lists"),
         (lambda curves, obj: obj.update(curves=5), "curves must be a list"),
         (lambda curves, obj: curves["a"].update(name=["a"]), "curve name must be a string"),
+        (lambda curves, obj: obj.update(genus=1.9), "config needs integer genus"),
+        (lambda curves, obj: curves["a"].update(q=["0", 1]), "curve 'a': q must be a list"),
     ):
         write(edit)
         code, out, err = run(capsys, "validate", "--config", str(path))

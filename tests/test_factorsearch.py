@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 import openbook.factorsearch as factorsearch
 from openbook.factorsearch import (
     SearchProblem,
-    peel_boundary,
     search_positive,
     verify_factorisation,
+    word_weights,
 )
 from openbook.freegroup import sanov_basis, sanov_substitute
 from openbook.mcg import (
@@ -22,7 +22,15 @@ from openbook.mcg import (
     equal_classes,
     evaluate,
 )
-from openbook.surface import identity_key, load_builtin, right_compose, twist_step
+from openbook.surface import (
+    CurveConfig,
+    SurfaceSpec,
+    identity_key,
+    load_builtin,
+    right_compose,
+    stabilize,
+    twist_step,
+)
 from openbook.surgery import OpenBook, surgery
 
 
@@ -36,46 +44,26 @@ def brute_force(surface, catalog, target, alphabet, max_length):
     return None
 
 
-def test_peel_boundary_goldens():
+def test_word_weights_goldens():
     spec, catalog = load_builtin("sigma12")
 
-    residual, mandatory = peel_boundary(
-        TwistWord.parse(spec, catalog, "a b g^-1 d1 d2^4")
-    )
-    assert str(residual) == "a b g^-1 d1 d2"
-    assert mandatory == {"d2": 3}
+    def weights(text):
+        return word_weights(TwistWord.parse(spec, catalog, text))
 
-    residual, mandatory = peel_boundary(TwistWord.parse(spec, catalog, "d1 d2 e^2"))
-    assert str(residual) == "d1 d2 e^2"
-    assert mandatory == {}
-
-    residual, mandatory = peel_boundary(TwistWord.parse(spec, catalog, "d2^4"))
-    assert residual.length == 0
-    assert mandatory == {"d2": 4}
-
-    # a surplus on component 1 is peeled instead
-    residual, mandatory = peel_boundary(TwistWord.parse(spec, catalog, "d1^2 d2"))
-    assert str(residual) == "d1^2 d2 d1^-1"
-    assert mandatory == {"d1": 1}
-
-
-def test_peel_boundary_recombines():
-    # boundary-parallel twists are central, so the peeled word together
-    # with the mandatory twists reproduces the original class
-    rng = random.Random(13)
-    spec, catalog = load_builtin("sigma12")
-    names = sorted(catalog)
-    for _ in range(50):
-        text = " ".join(
-            f"{rng.choice(names)}^{rng.choice((-1, 1, 2))}"
-            for _ in range(rng.randint(1, 6))
-        )
-        word = TwistWord.parse(spec, catalog, text)
-        residual, mandatory = peel_boundary(word)
-        back = residual
-        for name, count in mandatory.items():
-            back = back.append(name, count)
-        assert equal_classes(evaluate(back), evaluate(word))
+    # phi_R = a b g^-1 d1 d2^(R-1) weighs (2, 12 R - 22)
+    assert weights("a b g^-1 d1 d2^4") == (2, 38)
+    # both sides of the lantern relation
+    assert weights("d1 d2 e^2") == weights("s1 s2 s3") == (14, 14)
+    assert weights("d2^4") == (0, 48)
+    assert weights("d1^2 d2") == (24, 12)
+    assert weights("") == (0, 0)
+    spec1, catalog1 = load_builtin("sigma11")
+    assert word_weights(TwistWord.parse(spec1, catalog1, "a b " * 6)) == (12,)
+    assert word_weights(TwistWord.parse(spec1, catalog1, "d")) == (12,)
+    # no weights are defined off genus 1
+    spec2 = SurfaceSpec.standard(2, 1)
+    a = CurveConfig("a", (1, 0, 0, 0), (0, 1, 0, 0), (0, 1, 0, 0))
+    assert word_weights(TwistWord.parse(spec2, {"a": a}, "a")) is None
 
 
 def test_verify_factorisation():
@@ -131,8 +119,8 @@ def test_class_key_is_faithful(u, v, rng):
 
 def test_found_word_is_verified(monkeypatch):
     spec, catalog = load_builtin("sigma12")
-    target = evaluate(TwistWord.parse(spec, catalog, "d1 d2 e^2"))
-    problem = SearchProblem(spec, catalog, target, ("s1", "s2", "s3"), 3)
+    word = TwistWord.parse(spec, catalog, "d1 d2 e^2")
+    problem = SearchProblem(word, ("s1", "s2", "s3"), 3)
     monkeypatch.setattr(factorsearch, "verify_factorisation", lambda w, t: False)
     with pytest.raises(RuntimeError, match="s1 s2 s3"):
         search_positive(problem)
@@ -140,8 +128,9 @@ def test_found_word_is_verified(monkeypatch):
 
 def test_lantern_search():
     spec, catalog = load_builtin("sigma12")
-    target = evaluate(TwistWord.parse(spec, catalog, "d1 d2 e^2"))
-    outcome = search_positive(SearchProblem(spec, catalog, target, ("s1", "s2", "s3"), 3))
+    word = TwistWord.parse(spec, catalog, "d1 d2 e^2")
+    target = evaluate(word)
+    outcome = search_positive(SearchProblem(word, ("s1", "s2", "s3"), 3))
     assert outcome.found
     assert str(outcome.word) == "s1 s2 s3"
     assert outcome.certificate is None
@@ -150,8 +139,9 @@ def test_lantern_search():
 
 def test_chain_search():
     spec, catalog = load_builtin("sigma11")
-    target = evaluate(TwistWord.parse(spec, catalog, "d"))
-    outcome = search_positive(SearchProblem(spec, catalog, target, ("a", "b"), 12))
+    word = TwistWord.parse(spec, catalog, "d")
+    target = evaluate(word)
+    outcome = search_positive(SearchProblem(word, ("a", "b"), 12))
     assert str(outcome.word) == "a^4 b a^2 b^2 a^2 b"
     # both classic factorisations are valid but lexicographically later
     for text in ("a b " * 6, "a a b " * 4):
@@ -169,16 +159,18 @@ def test_search_matches_brute_force():
     for _ in range(12):
         length = rng.randint(0, 4)
         text = " ".join(rng.choice(alphabet) for _ in range(length))
-        target = evaluate(TwistWord.parse(spec, catalog, text))
+        word = TwistWord.parse(spec, catalog, text)
+        target = evaluate(word)
         expected = brute_force(spec, catalog, target, alphabet, 4)
-        outcome = search_positive(SearchProblem(spec, catalog, target, alphabet, 4))
+        outcome = search_positive(SearchProblem(word, alphabet, 4))
         assert outcome.found
         assert outcome.word == expected
 
     # a class with no positive factorisation in range: both report failure
-    target = evaluate(TwistWord.parse(spec, catalog, "a^-1"))
+    word = TwistWord.parse(spec, catalog, "a^-1")
+    target = evaluate(word)
     assert brute_force(spec, catalog, target, alphabet, 3) is None
-    assert not search_positive(SearchProblem(spec, catalog, target, alphabet, 3)).found
+    assert not search_positive(SearchProblem(word, alphabet, 3)).found
 
 
 def _sigma13_page():
@@ -214,10 +206,7 @@ def test_pruning_does_not_change_answers(page, data):
         powers = st.tuples(st.sampled_from(exact), st.sampled_from((-1, 1, 2)))
         text = " ".join(f"{n}^{e}" for n, e in data.draw(st.lists(powers, max_size=4)))
     word = TwistWord.parse(spec, catalog, text)
-    mandatory = peel_boundary(word)[1] if data.draw(st.booleans()) else {}
-    problem = SearchProblem(
-        spec, catalog, evaluate(word), alphabet, max_length, mandatory
-    )
+    problem = SearchProblem(word, alphabet, max_length)
     plain = search_positive(problem, prune=False)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(factorsearch, "MITM_THRESHOLD", 10**9)
@@ -236,24 +225,28 @@ def test_derived_commutation_on_sigma13():
     spec, catalog, word = _SIGMA13
     assert str(word) == "a b g^-1 d1 g3^2 d3 d2"
     alphabet = ("a", "b", "g", "d1", "g3", "e", "s1", "d2", "d3")
-    outcome = search_positive(SearchProblem(spec, catalog, evaluate(word), alphabet, 5))
+    outcome = search_positive(SearchProblem(word, alphabet, 5))
     assert outcome.certificate.lines() == (
         "exhausted: no positive factorisation up to length 5",
         "alphabet: a b g d1 g3 e s1 d2 d3",
-        "nodes: 1969",
-        "pruned mandatory: 0",
-        "pruned homology: 393",
-        "pruned memo: 145",
-        "pruned canonical: 2258",
+        "nodes: 111",
+        "pruned weight: 204",
+        "pruned homology: 19",
+        "pruned memo: 15",
+        "pruned canonical: 321",
         "pruned infeasible: 0",
         "mode: iddfs",
     )
+    # the weights (2, 26, 26) allow lengths 4 to 6 only (g3^2, g3 d2 d3
+    # or d2^2 d3^2 beside two nonseparating twists), so length 6 settles
+    # every length
+    assert search_positive(SearchProblem(word, alphabet, 6)).certificate.any_length
 
 
 def test_meet_in_middle_matches_depth_first(monkeypatch):
     spec, catalog = load_builtin("sigma11")
-    target = evaluate(TwistWord.parse(spec, catalog, "d"))
-    problem = SearchProblem(spec, catalog, target, ("a", "b"), 12)
+    word = TwistWord.parse(spec, catalog, "d")
+    problem = SearchProblem(word, ("a", "b"), 12)
     plain = search_positive(problem)
     assert plain.certificate is None or plain.certificate.mode == "iddfs"
     monkeypatch.setattr(factorsearch, "MITM_THRESHOLD", 1)
@@ -263,7 +256,7 @@ def test_meet_in_middle_matches_depth_first(monkeypatch):
     )
 
     # and on an exhausted search both modes agree there is nothing to find
-    hopeless = SearchProblem(spec, catalog, target, ("a", "b"), 8)
+    hopeless = SearchProblem(word, ("a", "b"), 8)
     assert not search_positive(hopeless).found
     monkeypatch.setattr(factorsearch, "MITM_THRESHOLD", 10**9)
     assert not search_positive(hopeless).found
@@ -271,8 +264,8 @@ def test_meet_in_middle_matches_depth_first(monkeypatch):
 
 def test_search_is_deterministic():
     spec, catalog = load_builtin("sigma11")
-    target = evaluate(TwistWord.parse(spec, catalog, "d"))
-    problem = SearchProblem(spec, catalog, target, ("a", "b"), 3)
+    # the weight 2 allows length 2 alone, which the homology prune rules out
+    problem = SearchProblem(TwistWord.parse(spec, catalog, "b^3 a^-1"), ("a", "b"), 3)
     first = search_positive(problem)
     second = search_positive(problem)
     assert first == second
@@ -280,13 +273,14 @@ def test_search_is_deterministic():
     assert first.certificate.lines() == (
         "exhausted: no positive factorisation up to length 3",
         "alphabet: a b",
-        "nodes: 22",
-        "pruned mandatory: 0",
+        "nodes: 3",
+        "pruned weight: 3",
         "pruned homology: 2",
         "pruned memo: 0",
         "pruned canonical: 0",
         "pruned infeasible: 0",
         "mode: iddfs",
+        "no positive factorisation over this alphabet at any length",
     )
     assert str(first.certificate) == "\n".join(first.certificate.lines())
 
@@ -295,55 +289,69 @@ def test_homology_obstruction_needs_no_nodes():
     # tau_b moves a class that every twist in {a} fixes: the search is
     # refuted before a single word is tried
     spec, catalog = load_builtin("sigma11")
-    target = evaluate(TwistWord.parse(spec, catalog, "b"))
-    outcome = search_positive(SearchProblem(spec, catalog, target, ("a",), 6))
+    word = TwistWord.parse(spec, catalog, "b")
+    outcome = search_positive(SearchProblem(word, ("a",), 6))
     assert not outcome.found
     assert outcome.certificate.nodes == 0
     assert dict(outcome.certificate.prunes)["infeasible"] == 1
+    assert outcome.certificate.any_length
 
 
-def test_mandatory_twists():
+def test_weight_prune_certifies_every_length():
     spec, catalog = load_builtin("sigma12")
     word = TwistWord.parse(spec, catalog, "a b g^-1 d1 d2^4")
-    target = evaluate(word)
-    _, mandatory = peel_boundary(word)
-    assert mandatory == {"d2": 3}
+    # weights (2, 38) need two nonseparating twists and three about d2:
+    # without d2 no length works, and nothing is walked
+    outcome = search_positive(SearchProblem(word, ("a", "b", "e", "s2"), 9))
+    assert outcome.certificate.nodes == 0
+    assert dict(outcome.certificate.prunes)["weight"] == 10
+    assert outcome.certificate.any_length
 
-    # a mandatory curve missing from the alphabet refutes immediately
-    outcome = search_positive(
-        SearchProblem(spec, catalog, target, ("s1", "s2", "s3"), 4, mandatory={"d1": 1})
-    )
-    assert not outcome.found and outcome.certificate.nodes == 0
-
+    # with d2 only length 5 is walked; a bound short of it claims nothing
+    # beyond the bound, and one that reaches it claims every length
     alphabet = ("a", "b", "g", "d1", "d2", "e", "s1", "s2", "s3")
-    outcome = search_positive(
-        SearchProblem(spec, catalog, target, alphabet, 6, mandatory=mandatory)
-    )
-    assert not outcome.found
+    for max_length, any_length in ((4, False), (5, True), (6, True)):
+        outcome = search_positive(SearchProblem(word, alphabet, max_length))
+        assert not outcome.found
+        assert outcome.certificate.any_length is any_length
     assert outcome.certificate.mode == "mitm"
+    # pruning off: no weights, no claim, the same answer
+    plain = search_positive(SearchProblem(word, alphabet, 5), prune=False)
+    assert not plain.found and not plain.certificate.any_length
+    assert dict(plain.certificate.prunes)["weight"] == 0
+
+    # a letter of undecided weight switches the cut off (g3 of the
+    # four-holed page bounds {2, 3} or {1, 4}, and h cannot tell which)
+    spec13, catalog13, _ = _SIGMA13
+    result = stabilize(spec13, catalog13, 1)
+    target = TwistWord.parse(result.surface, result.catalog, "d2 d3")
+    outcome = search_positive(SearchProblem(target, ("g3", "d2", "d3"), 2))
+    assert str(outcome.word) == "d2 d3"
+    outcome = search_positive(SearchProblem(target, ("g3", "d2"), 2))
+    prunes = dict(outcome.certificate.prunes)
+    assert prunes["weight"] == 0 and not outcome.certificate.any_length
 
 
 def test_empty_alphabet_and_identity():
     spec, catalog = load_builtin("sigma12")
-    identity = evaluate(TwistWord.parse(spec, catalog, ""))
-    outcome = search_positive(SearchProblem(spec, catalog, identity, (), 2))
+    identity = TwistWord.parse(spec, catalog, "")
+    outcome = search_positive(SearchProblem(identity, (), 2))
     assert outcome.found and outcome.word.length == 0
 
 
 def test_search_problem_validation():
     spec, catalog = load_builtin("sigma12")
-    target = evaluate(TwistWord.parse(spec, catalog, "d1"))
+    target = TwistWord.parse(spec, catalog, "d1")
     with pytest.raises(ValueError, match="nonnegative"):
-        SearchProblem(spec, catalog, target, ("s1",), -1)
+        SearchProblem(target, ("s1",), -1)
     with pytest.raises(ValueError, match="distinct"):
-        SearchProblem(spec, catalog, target, ("s1", "s1"), 3)
+        SearchProblem(target, ("s1", "s1"), 3)
     with pytest.raises(ValueError, match="not in the catalog"):
-        SearchProblem(spec, catalog, target, ("nope",), 3)
-    with pytest.raises(ValueError, match="bad mandatory count"):
-        SearchProblem(spec, catalog, target, ("s1",), 3, mandatory={"s1": -1})
-    with pytest.raises(ValueError, match="bad mandatory count"):
-        SearchProblem(spec, catalog, target, ("s1",), 3, mandatory={"zz": 1})
-    other_spec, other_catalog = load_builtin("sigma11")
-    wrong = evaluate(TwistWord.parse(other_spec, other_catalog, "a"))
-    with pytest.raises(ValueError, match="different surface"):
-        SearchProblem(spec, catalog, wrong, ("s1",), 3)
+        SearchProblem(target, ("nope",), 3)
+    # s2 runs through the handle of the sigma13 page and keeps only
+    # linear data: it can be neither the target nor a letter
+    spec13, catalog13, _ = _SIGMA13
+    with pytest.raises(ValueError, match="exact automorphism"):
+        SearchProblem(TwistWord.parse(spec13, catalog13, "a s2"), ("a",), 3)
+    with pytest.raises(ValueError, match="no exact automorphism"):
+        SearchProblem(TwistWord.parse(spec13, catalog13, "a"), ("s2",), 3)

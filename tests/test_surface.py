@@ -1,19 +1,28 @@
 import dataclasses
 import json
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from openbook.freegroup import FreeAutomorphism
+from openbook.mcg import TwistWord
 from openbook.surface import (
+    RELATION_PATTERNS,
+    CurveConfig,
+    SurfaceSpec,
     boundary_parallel_curve,
     catalog_from_json,
     catalog_to_json,
+    curve_weights,
     load_builtin,
+    pair_relation,
     relation_tables,
     stabilize,
     validate_catalog,
 )
+from openbook.surgery import OpenBook, surgery
 
 
 def test_builtin_catalogs_validate():
@@ -144,6 +153,28 @@ def test_json_error_reporting():
         catalog_from_json(json.dumps(missing))
 
 
+def test_json_numbers_must_be_integers():
+    # int() would take 1.9, true and "0": every number must be a JSON
+    # integer, or loading fails with one line naming the field
+    spec, catalog = load_builtin("sigma11")
+    text = catalog_to_json(spec, catalog)
+    for edit, message in (
+        (lambda obj, c: obj.update(genus=1.9), "integer genus and boundary"),
+        (lambda obj, c: obj.update(boundary=True), "integer genus and boundary"),
+        (lambda obj, c: obj["boundary_words"][0].append("1"), "boundary_words must be lists"),
+        (lambda obj, c: c["a"].update(h=[1.9, 0]), "curve 'a': h must be a list"),
+        (lambda obj, c: c["a"].update(q=["0", 1]), "curve 'a': q must be a list"),
+        (lambda obj, c: c["b"].update(p=[True, 0]), "curve 'b': p must be a list"),
+        (lambda obj, c: c["a"]["aut"]["images"][0].append(1.0), "curve 'a': bad automorphism"),
+        (lambda obj, c: c["d"].update(boundary_parallel_to=1.0), "boundary_parallel_to must"),
+    ):
+        obj = json.loads(text)
+        edit(obj, {curve["name"]: curve for curve in obj["curves"]})
+        with pytest.raises(ValueError, match=message):
+            catalog_from_json(json.dumps(obj))
+    assert catalog_from_json(text) == (spec, catalog)
+
+
 def test_stabilize_matches_builtin():
     # plumbing onto the single boundary component of sigma11 must reproduce
     # the hand-built sigma12 catalog exactly, including the frozen twist data
@@ -183,7 +214,7 @@ def test_stabilize_second_component():
     result = stabilize(spec, catalog, 1)
     assert result.surface.boundary_words == ((1, 2, -1, -2, -3, -4), (3,), (4,))
     assert result.renames == {"d1": "g3"}
-    assert (result.stab_curve, result.k_curve, result.k_index) == ("d1", "d3", 3)
+    assert (result.stab_curve, result.k_index) == ("d1", 3)
     assert list(result.catalog) == [
         "a", "b", "g", "g3", "d2", "e", "s1", "s2", "s3", "d1", "d3",
     ]
@@ -218,3 +249,74 @@ def test_stabilize_errors():
     collide["d3"] = dataclasses.replace(catalog["e"], name="d3")
     with pytest.raises(ValueError, match="collision"):
         stabilize(spec, collide, 2)
+
+
+def _sigma13():
+    """The r = 7/2 surgery page of the trefoil book."""
+    spec, catalog = load_builtin("sigma11")
+    book = OpenBook.standard(spec, TwistWord.parse(spec, catalog, "a b"))
+    out = surgery(book, "1", Fraction(7, 2), 1)
+    return out.surface, out.word.catalog
+
+
+def test_curve_weights():
+    assert curve_weights(*load_builtin("sigma11")) == {"a": (1,), "b": (1,), "d": (12,)}
+    assert curve_weights(*load_builtin("sigma12")) == {
+        "a": (1, 1), "b": (1, 1), "g": (12, 12), "d1": (12, 0), "d2": (0, 12),
+        "e": (1, 1), "s1": (12, 12), "s2": (1, 1), "s3": (1, 1),
+    }
+    spec, catalog = _sigma13()
+    weights = curve_weights(spec, catalog)
+    # g3 and d1 share h = +-(z2 + z3); the class keys tell g3 from d1
+    assert weights["g3"] == (0, 12, 12) and weights["d1"] == (12, 0, 0)
+    assert weights["g"] == (12, 12, 12)
+    # s2 keeps only linear data, but its h types it
+    assert catalog["s2"].aut is None and weights["s2"] == (1, 1, 1)
+    # without an automorphism the keys cannot tell g3 from d1
+    bare = dict(catalog, g3=dataclasses.replace(catalog["g3"], aut=None))
+    assert curve_weights(spec, bare)["g3"] is None
+
+    # on the four-holed page g3 bounds {2, 3} or {1, 4}: undecided
+    result = stabilize(spec, catalog, 1)
+    weights = curve_weights(result.surface, result.catalog)
+    assert weights["g3"] is None and weights["d4"] == (0, 0, 0, 12)
+
+    # genus 2: no capping weights are defined
+    spec2 = SurfaceSpec.standard(2, 1)
+    a = CurveConfig("a", (1, 0, 0, 0), (0, 1, 0, 0), (0, 1, 0, 0))
+    d = CurveConfig("d", (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), 1)
+    assert curve_weights(spec2, {"a": a, "d": d}) is None
+
+
+def test_relations_conserve_weights():
+    # the weights are homomorphisms: both sides of every relation weigh
+    # the same
+    for (name, _), (lhs, rhs) in RELATION_PATTERNS.items():
+        weights = curve_weights(*load_builtin(name))
+        total = lambda names: tuple(map(sum, zip(*(weights[n] for n in names))))
+        assert total(lhs) == total(rhs)
+    # braid pairs, on the builtins, the sigma13 page and seeded chains of
+    # stabilisations; a stabilisation at K copies weight K into the new
+    # last slot, which checks the key comparisons from both pages
+    rng = random.Random(17)
+    pages = [load_builtin("sigma11"), load_builtin("sigma12"), _sigma13()]
+    braids = 0
+    for start in range(12):
+        spec, catalog = pages[start % 3]
+        for step in range(4):
+            weights = curve_weights(spec, catalog)
+            for u, v in combinations(catalog, 2):
+                if pair_relation(spec.genus, catalog[u], catalog[v]) == "braid":
+                    assert weights[u] == weights[v] is not None
+                    braids += 1
+            if step == 3:
+                break
+            K = rng.randint(1, spec.boundary)
+            result = stabilize(spec, catalog, K)
+            after = curve_weights(result.surface, result.catalog)
+            for name, w in weights.items():
+                moved = after[result.renames.get(name, name)]
+                if w is not None and moved is not None:
+                    assert moved == w + (w[K - 1],)
+            spec, catalog = result.surface, result.catalog
+    assert braids > 100

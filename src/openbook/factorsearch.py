@@ -4,7 +4,8 @@ Words are searched in iterative-deepening order: all lengths from 0 up
 to the bound, and within one length in alphabet order, so the first hit
 is the lexicographically least shortest factorisation.  Every word
 found is checked once with ``verify_factorisation`` before it is
-returned.
+returned; that check compares free-group images and D, built from the
+two words for it alone, so it does not rest on the key fold below.
 
 One routine, ``expand(stop, length, leaf, bounded)``, walks the
 canonical words of ``stop`` letters depth-first in alphabet order,
@@ -32,7 +33,7 @@ exact class equality would give.  Appending a twist c to a word is right
 composition, phi o tau_c (``surface.right_compose``), so the new key
 reads the images of tau_c through the old matrices, and
 D <- D R_c + D_c: both fold in constant data of c, and no free-group
-word is built.
+word is built.  The target's key is the one ``mcg.evaluate`` folds.
 
 Meet in the middle.  A prefix P completes a suffix S when P o S = T,
 that is P = T o S^-1.  The suffix table is filled in the depth-first
@@ -90,9 +91,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add, le, sub
 
-from .freegroup import sanov_substitute
 from .homology import matrix_rank, twist_data
-from .mcg import MappingClass, TwistWord, equal_classes, evaluate
+from .mcg import MappingClass, TwistWord, evaluate
 from .surface import (
     CurveConfig,
     curve_weights,
@@ -174,10 +174,12 @@ class SearchOutcome:
         return self.word is not None
 
 
-def word_weights(word: TwistWord) -> tuple[int, ...] | None:
+def word_weights(word: TwistWord, weights=None) -> tuple[int, ...] | None:
     """The capping weights of the word's class, summed over its letters
-    (``surface.curve_weights``); None when some letter's are undecided."""
-    weights = curve_weights(word.surface, word.catalog)
+    from the ``surface.curve_weights`` table of its catalog, typed here
+    unless given; None when some letter's are undecided."""
+    if weights is None:
+        weights = curve_weights(word.surface, word.catalog)
     if weights is None or any(weights[name] is None for name, _ in word.entries):
         return None
     return tuple(
@@ -187,8 +189,10 @@ def word_weights(word: TwistWord) -> tuple[int, ...] | None:
 
 
 def verify_factorisation(word: TwistWord, target: MappingClass) -> bool:
-    """True iff the word is positive and evaluates to the target."""
-    return word.is_positive() and equal_classes(evaluate(word), target)
+    """True iff the word is positive and evaluates to the target, judged
+    on the free-group images and D of the two words."""
+    found = evaluate(word)
+    return word.is_positive() and (found.exact, found.D) == (target.exact, target.D)
 
 
 class _Curve:
@@ -249,13 +253,14 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
         if prune and pair_relation(genus, cj.cfg, curves[i].cfg) == "commute"
     }
     target = evaluate(word)
-    target_key = (sanov_substitute(start_key[0], target.exact.images), target.D)
+    target_key = target.key
     target_genus_cols = tuple(row[:2 * genus] for row in target.D)
     # levels up to max_length + 1 decide every length; without weights
-    # every level holds the empty vector and nothing is cut
-    weights = curve_weights(surface, catalog) or {}
-    target_w = word_weights(word) if prune else None
-    letter_w = [weights.get(name) for name in problem.alphabet]
+    # every level holds the empty vector and nothing is cut.  One typing
+    # of the catalog serves the target and the letters
+    weights = curve_weights(surface, catalog) if prune else None
+    target_w = None if weights is None else word_weights(word, weights)
+    letter_w = [] if target_w is None else [weights[n] for n in problem.alphabet]
     levels, count = [{()}], problem.max_length + 2
     if target_w is None or None in letter_w:
         target_w, letter_w = (), [()] * len(curves)

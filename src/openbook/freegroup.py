@@ -331,9 +331,10 @@ class FreeAutomorphism:
         )
 
     def __pow__(self, n: int) -> "FreeAutomorphism":
-        result = FreeAutomorphism.identity(self.rank)
-        base = self if n >= 0 else self.inverse()
-        for _ in range(abs(n)):
+        if n == 0:
+            return FreeAutomorphism.identity(self.rank)
+        result = base = self if n > 0 else self.inverse()
+        for _ in range(abs(n) - 1):
             result = compose(base, result)
         return result
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -272,8 +273,8 @@ def append_twist(
     D_c = h p^T: D R_c + D_c = D + (D Jh + h) p^T, a rank-one update.
     Passing e p for p appends tau_c^e instead (exact as p . Jh = 0).
     """
-    u = [sum(x * y for x, y in zip(row, jh)) + hi for row, hi in zip(d, h)]
-    return tuple(tuple(x + ui * pj for x, pj in zip(row, p)) for row, ui in zip(d, u))
+    rows = ((row, hi + sum(map(mul, row, jh))) for row, hi in zip(d, h))
+    return tuple(tuple([x + ui * pj for x, pj in zip(row, p)]) if ui else row for row, ui in rows)
 
 
 def compose_linear(items: Sequence[Matrix], genus: int) -> Matrix:

@@ -2,40 +2,41 @@
 
 A twist word is a finite product of (powers of) Dehn twists about
 catalog curves; the rightmost letter acts first, matching functional
-composition.  Evaluating a word yields both the exact automorphism of
-pi_1 induced on the page (when every curve in the word carries one) and
-the deviation matrix D, which always exists; the homology actions
-M = I + D J and R = I + J D are derived from it (see ``homology``).
+composition.  Evaluating a word folds its class key (rho o phi, D) as
+the search does (``surface.right_compose``): phi is the automorphism of
+pi_1 induced on the page, built as free-group images only when
+``MappingClass.exact`` is read, and rho o phi is None when a curve in
+the word has none; the deviation D always exists, and the homology
+actions M = I + D J and R = I + J D derive from it (see ``homology``).
 
-Equality of mapping classes is decided on the pair (exact
-automorphism, deviation matrix D).  The automorphism alone is not
-faithful on a page with several boundary components: a twist about a
-curve parallel to a non-basepoint boundary component acts trivially on
-pi_1 (its based representative can be pushed off every generator), yet
-is a nontrivial mapping class.  D separates exactly those twists - its
-arc columns record them - so the pair is a complete invariant for the
+Equality of mapping classes is decided on the key, so on (phi, D), as
+Sanov's rho is injective.  phi alone is not faithful on a page with
+several boundary components: a twist about a curve parallel to a
+non-basepoint boundary component acts trivially on pi_1 (its based
+representative can be pushed off every generator), yet is a nontrivial
+mapping class.  D separates exactly those twists - its arc columns
+record them - so the pair is a complete invariant for the
 boundary-fixing mapping class group.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from typing import Iterable, Mapping
 
 from .freegroup import FreeAutomorphism, compose
-from .homology import (
-    Matrix,
-    append_twist,
-    compose_linear,
-    identity_matrix,
-    invert_linear,
-    j_matrix,
-    mat_add,
-    mat_mul,
-    zero_matrix,
+from .homology import Matrix, append_twist, identity_matrix, j_matrix, mat_add, mat_mul
+from .surface import (
+    RELATION_PATTERNS,
+    CurveConfig,
+    SurfaceSpec,
+    identity_key,
+    pair_relation,
+    right_compose,
+    twist_step,
 )
-from .surface import RELATION_PATTERNS, CurveConfig, SurfaceSpec, pair_relation
 
 _TOKEN = re.compile(r"^([A-Za-z][A-Za-z0-9]*)(?:\^(-?\d+))?$")
 
@@ -134,16 +135,20 @@ class TwistWord:
 
 @dataclass(frozen=True)
 class MappingClass:
-    """The result of evaluating a twist word.
+    """The class key (rho o phi, D) of a twist word, and its (curve,
+    exponent) factors.
 
-    ``exact`` is None when some curve in the word had no automorphism;
-    the deviation D alone is then a necessary invariant only, and
+    Without rho o phi, D alone is a necessary invariant only, and
     equality tests refuse to run on it.
     """
 
     surface: SurfaceSpec
-    exact: FreeAutomorphism | None
-    D: Matrix
+    key: tuple
+    twists: tuple[tuple[CurveConfig, int], ...] = field(compare=False, repr=False)
+
+    @property
+    def D(self) -> Matrix:
+        return self.key[1]
 
     @property
     def M(self) -> Matrix:
@@ -156,55 +161,59 @@ class MappingClass:
 
     @property
     def linear_only(self) -> bool:
-        return self.exact is None
+        return self.key[0] is None
+
+    @cached_property
+    def exact(self) -> FreeAutomorphism | None:
+        """phi, composed from the twists on first read; None when linear only."""
+        if self.linear_only:
+            return None
+        auts = (cfg.aut ** exp for cfg, exp in self.twists)
+        return reduce(compose, auts, FreeAutomorphism.identity(self.surface.rank))
+
+
+def _fold(start: MappingClass, twists) -> MappingClass:
+    """The class of ``start``'s word followed by ``twists``: one
+    ``surface.right_compose`` per unit of exponent, or, once a curve has
+    no automorphism, one ``homology.append_twist`` of D per twist."""
+    genus = start.surface.genus
+    rho, d = start.key
+    for cfg, exp in twists:
+        if rho is None or cfg.aut is None:
+            rho = None
+            d = append_twist(d, cfg.h[:2 * genus], cfg.h, tuple(exp * x for x in cfg.p))
+            continue
+        step = twist_step(cfg, genus, 1 if exp > 0 else -1)
+        for _ in range(abs(exp)):
+            rho, d = right_compose((rho, d), step)
+    return MappingClass(start.surface, (rho, d), start.twists + twists)
 
 
 def identity_class(surface: SurfaceSpec) -> MappingClass:
-    return evaluate(TwistWord(surface, {}, ()))
+    return MappingClass(surface, identity_key(surface.rank), ())
 
 
 def evaluate(word: TwistWord) -> MappingClass:
-    """Compose the twists of a word, rightmost letter acting first.
-
-    D folds one rank-one update per letter (``homology.append_twist``),
-    exact because p . Jh = 0 for every curve, a check of
-    ``validate_catalog``.
-    """
-    surface = word.surface
-    g2 = 2 * surface.genus
-    exact: FreeAutomorphism | None = FreeAutomorphism.identity(surface.rank)
-    d = zero_matrix(surface.rank)
-    for name, exp in word.entries:
-        cfg = word.catalog[name]
-        d = append_twist(d, cfg.h[:g2], cfg.h, tuple(exp * x for x in cfg.p))
-        if exact is not None:
-            exact = compose(exact, cfg.aut ** exp) if cfg.aut else None
-    return MappingClass(surface, exact, d)
+    """Fold the class key of a word, rightmost letter acting first."""
+    twists = tuple((word.catalog[name], exp) for name, exp in word.entries)
+    return _fold(identity_class(word.surface), twists)
 
 
 def compose_classes(a: MappingClass, b: MappingClass) -> MappingClass:
     """The class of the concatenated word (b's word acting first)."""
     if a.surface != b.surface:
         raise ValueError("classes live on different surfaces")
-    exact = None
-    if a.exact is not None and b.exact is not None:
-        exact = compose(a.exact, b.exact)
-    return MappingClass(
-        a.surface, exact, compose_linear([a.D, b.D], a.surface.genus)
-    )
+    return _fold(a, b.twists)
 
 
 def invert_class(a: MappingClass) -> MappingClass:
-    exact = a.exact.inverse() if a.exact is not None else None
-    return MappingClass(a.surface, exact, invert_linear(a.D, a.surface.genus))
+    inverse = tuple((cfg, -exp) for cfg, exp in reversed(a.twists))
+    return _fold(identity_class(a.surface), inverse)
 
 
 def equal_classes(a: MappingClass, b: MappingClass) -> bool:
-    """Exact equality of mapping classes.
-
-    Compares the pi_1 automorphism together with the deviation matrix
-    D; see the module docstring for why both are needed.
-    """
+    """Exact equality of mapping classes, decided on the class keys; see
+    the module docstring for why both of their parts are needed."""
     if a.surface != b.surface:
         raise ValueError("cannot compare classes on different surfaces")
     if a.linear_only or b.linear_only:
@@ -212,7 +221,7 @@ def equal_classes(a: MappingClass, b: MappingClass) -> bool:
             "equality undecidable from linear data alone; "
             "the word involves a curve without an exact automorphism"
         )
-    return a.exact == b.exact and a.D == b.D
+    return a.key == b.key
 
 
 def boundary_exponent_delta(word: TwistWord, i: int, j: int) -> int:

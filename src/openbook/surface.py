@@ -19,8 +19,9 @@ Conventions, fixed once and locked by the homology outputs downstream:
   keeping the 2g genus coordinates, and q = Omega h by the intersection
   form; validate_catalog checks both, and the linear algebra downstream
   derives every homology action from h and p.
-* Classes are keyed exactly by (rho o phi, D) (``right_compose``), and
-  ``pair_relation`` decides on these keys which twists commute or braid.
+* Classes are keyed exactly by (rho o phi, D) (``right_compose``);
+  ``pair_relation`` decides on these keys which twists commute or braid,
+  and ``mcg.evaluate`` and the search fold the same keys.
 * ``stabilize`` is one rule for every boundary index: each curve's twist
   is carried to the new page by the basis change, zero-extended, or
   replaced by a conjugation.  These are built trusted, since each is an
@@ -273,11 +274,12 @@ def identity_key(rank: int):
 
 
 def twist_step(cfg: CurveConfig, genus: int, sign: int = 1):
-    """The step (generator images, Jh, h, sign p) of tau_c^sign, sign =
-    +-1, for ``right_compose``; c needs an exact automorphism."""
-    jh = tuple(x if i < 2 * genus else 0 for i, x in enumerate(cfg.h))
-    images = cfg.aut.images if sign > 0 else cfg.aut.inverse_images
-    return images, jh, cfg.h, tuple(sign * x for x in cfg.p)
+    """The step (generator images, Jh cut to its 2g genus coordinates, h,
+    sign p) of tau_c^sign, sign = +-1, for ``right_compose``; c needs an
+    exact automorphism."""
+    if sign > 0:
+        return cfg.aut.images, cfg.h[:2 * genus], cfg.h, cfg.p
+    return cfg.aut.inverse_images, cfg.h[:2 * genus], cfg.h, tuple(-x for x in cfg.p)
 
 
 def right_compose(key, step):
@@ -566,13 +568,15 @@ class StabResult:
 
 
 def _transported_aut(
-    aut: FreeAutomorphism, new_rank: int, sub: FreeAutomorphism
+    aut: FreeAutomorphism, new_rank: int, sub: FreeAutomorphism | None
 ) -> FreeAutomorphism:
     """S o (aut * fix t) o S^-1 for the basis change S = ``sub``, with t
-    the new last generator; S the identity zero-extends ``aut``.  Built
-    trusted: a conjugate of an automorphism is one."""
+    the new last generator; S = None, the identity, zero-extends ``aut``.
+    Built trusted: a conjugate of an automorphism is one."""
     def transport(table: Sequence[Letters]) -> tuple[Letters, ...]:
         extended = (*table, (new_rank,))
+        if sub is None:
+            return extended
         return tuple(sub.apply(apply_images(extended, w)) for w in sub.inverse_images)
 
     return FreeAutomorphism._trusted(
@@ -617,7 +621,7 @@ def stabilize(
     new_n, t = n + 1, m + 1
     ident = FreeAutomorphism.identity(t)
     if K == 1:
-        pos, sub = None, ident
+        pos, sub = None, None
         far_word, far_side = surface.boundary_words[0], range(1, t)
         new_b1 = concat(far_word, (-t,))
         k_index, stab_index = new_n, 1
@@ -653,7 +657,7 @@ def stabilize(
         if bpt == 1:
             return b1_twist
         if bpt is not None:
-            return _transported_aut(cfg.aut, t, ident)
+            return _transported_aut(cfg.aut, t, None)
         if pos is not None and (cfg.h[pos] or cfg.p[pos]):
             return None
         return _transported_aut(cfg.aut, t, sub)

@@ -126,6 +126,23 @@ def test_found_word_is_verified(monkeypatch):
         search_positive(problem)
 
 
+def test_search_types_the_catalog_once(monkeypatch):
+    # one curve_weights table serves the target and the letters, and a
+    # search without pruning types nothing
+    calls = []
+    typed = factorsearch.curve_weights
+    monkeypatch.setattr(
+        factorsearch, "curve_weights", lambda *args: calls.append(args) or typed(*args)
+    )
+    spec, catalog = load_builtin("sigma12")
+    word = TwistWord.parse(spec, catalog, "d1 d2 e^2")
+    problem = SearchProblem(word, ("s1", "s2", "s3"), 3)
+    assert str(search_positive(problem).word) == "s1 s2 s3"
+    assert len(calls) == 1
+    assert str(search_positive(problem, prune=False).word) == "s1 s2 s3"
+    assert len(calls) == 1
+
+
 def test_lantern_search():
     spec, catalog = load_builtin("sigma12")
     word = TwistWord.parse(spec, catalog, "d1 d2 e^2")

@@ -183,6 +183,15 @@ def test_pow():
     assert (f ** 3).apply((1,)) == (1, 2, 2, 2)
     assert (f ** -1) == f.inverse()
     assert (f ** 0).is_identity()
+    # f ** n is n-fold composition; the first factor is f itself, not
+    # f composed with the identity
+    assert f ** 1 is f
+    for g in (f, FreeAutomorphism.inner(2, (2, 1))):
+        for n in range(-3, 4):
+            want = FreeAutomorphism.identity(2)
+            for _ in range(abs(n)):
+                want = compose(g if n > 0 else g.inverse(), want)
+            assert g ** n == want
 
 
 def _sl2_mul(x, y):

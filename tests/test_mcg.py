@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from openbook.freegroup import FreeAutomorphism
+from openbook import mcg
+from openbook.freegroup import FreeAutomorphism, compose, sanov_basis, sanov_substitute
 from openbook.homology import compose_linear, invert_linear, twist_data, zero_matrix
 from openbook.mcg import (
     MappingClass,
@@ -287,3 +288,79 @@ def test_inverse_linear_from_inverse_twists(entries):
         cfg = SIGMA12[name]
         inv = compose_linear([twist_data(cfg.h, cfg.p, genus, -exp), inv], genus)
     assert inv == invert_linear(evaluate(word).D, genus)
+
+
+_KEY_PAGES = (load_builtin("sigma11"), (SIGMA12_SPEC, SIGMA12), _sigma13_page())
+
+
+def _key_page_words(max_size):
+    def words(index):
+        names = sorted(_KEY_PAGES[index][1])
+        letter = st.tuples(st.sampled_from(names), st.sampled_from((-3, -2, -1, 1, 2, 3)))
+        entries = st.lists(letter, max_size=max_size)
+        return st.tuples(st.just(index), entries, entries, st.randoms(use_true_random=False))
+
+    return st.sampled_from(range(len(_KEY_PAGES))).flatmap(words)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_key_page_words(4))
+def test_evaluate_folds_the_class_key(drawn):
+    # evaluate's key is rho of the images free-group composition gives,
+    # with D; equal_classes, compose_classes and invert_class agree with
+    # comparing and composing those images and D directly
+    index, u_entries, v_entries, rng = drawn
+    spec, catalog = _KEY_PAGES[index]
+    genus = spec.genus
+
+    def reference(entries):
+        """(composed automorphism or None without one, composed D)"""
+        aut, d = FreeAutomorphism.identity(spec.rank), zero_matrix(spec.rank)
+        for name, exp in entries:
+            cfg = catalog[name]
+            aut = None if aut is None or cfg.aut is None else compose(aut, cfg.aut ** exp)
+            d = compose_linear([d, twist_data(cfg.h, cfg.p, genus, exp)], genus)
+        return aut, d
+
+    u, v = (TwistWord(spec, catalog, tuple(e)) for e in (u_entries, v_entries))
+    (au, du), (av, dv) = reference(u.entries), reference(v.entries)
+    cu, cv = evaluate(u), evaluate(v)
+    for cls, aut, d in ((cu, au, du), (cv, av, dv)):
+        assert cls.D == d and cls.exact == aut and cls.linear_only == (aut is None)
+        if aut is not None:
+            assert cls.key == (sanov_substitute(sanov_basis(spec.rank), aut.images), d)
+    uv, inv = compose_classes(cu, cv), invert_class(cu)
+    assert uv.D == compose_linear([du, dv], genus) and inv.D == invert_linear(du, genus)
+    if au is None or av is None:
+        with pytest.raises(ValueError, match="linear"):
+            equal_classes(cu, cv)
+        return
+    assert equal_classes(cu, cv) == ((au, du) == (av, dv))
+    assert uv.exact == compose(au, av) and inv.exact == au.inverse()
+    # a relation move keeps the class: the equal case, on the same words
+    moves = applicable_moves(u)
+    if moves:
+        moved = evaluate(apply_relation(u, *rng.choice(moves)))
+        assert equal_classes(cu, moved) and (moved.exact, moved.D) == (au, du)
+
+
+def test_evaluate_builds_no_automorphism(monkeypatch):
+    # evaluate and equal_classes fold class keys only; the automorphism is
+    # composed when exact is first read, and kept
+    def refuse(*args):
+        raise AssertionError("built a FreeAutomorphism")
+
+    monkeypatch.setattr(mcg, "compose", refuse)
+    monkeypatch.setattr(FreeAutomorphism, "_trusted", classmethod(refuse))
+
+    def cls(text):
+        return evaluate(TwistWord.parse(SIGMA12_SPEC, SIGMA12, text))
+
+    one, two = cls("a b g^-1 d1 d2^4"), cls("a b g^-1 d1 d2^5")
+    assert not equal_classes(one, two)
+    assert equal_classes(cls("d1 d2 e^2"), cls("s1 s2 s3"))
+    assert equal_classes(cls("a b a"), compose_classes(cls("b a"), cls("b")))
+    with pytest.raises(AssertionError, match="built"):
+        one.exact
+    monkeypatch.undo()
+    assert one.exact is one.exact and one.exact == two.exact

@@ -11,9 +11,9 @@ hand, and a wrong inverse shows up here instead of as a subtly wrong
 twist three modules later.  Results of ``compose``, ``inverse`` and
 ``__pow__`` are trusted, not re-checked: f o g and g^-1 o f^-1 are
 mutually inverse whenever f and g are, and substitution reduces.
-``conjugation`` and ``inner`` are trusted too: conjugating generators by
-a word spelled in them fixes that word, so conjugating by its inverse
-undoes the map.
+``conjugation`` and ``inner`` are trusted too, and ``_deferred`` builds
+their tables on first read: conjugating generators by a word spelled in
+them fixes that word, so conjugating by its inverse undoes the map.
 """
 
 from __future__ import annotations
@@ -242,8 +242,8 @@ class FreeAutomorphism:
     ``images[k-1]`` is the reduced image of x_k, ``inverse_images[k-1]``
     the reduced image of x_k under the inverse automorphism.  The public
     constructor checks that the two maps are mutually inverse; compose,
-    inverse, ``__pow__``, identity, conjugation and inner build through
-    unchecked ``_trusted``.
+    inverse, ``__pow__`` and identity build through unchecked
+    ``_trusted``, conjugation and inner through unchecked ``_deferred``.
     """
 
     rank: int
@@ -272,6 +272,22 @@ class FreeAutomorphism:
         return aut
 
     @classmethod
+    def _deferred(cls, rank: int, build, *args) -> "FreeAutomorphism":
+        """Trusted, with tables (images, inverse_images) = build(*args)
+        built when either is first read, then kept."""
+        aut = object.__new__(cls)
+        aut.__dict__.update(rank=rank, _build=(build, args))
+        return aut
+
+    def __getattr__(self, name: str):
+        # reached only when __dict__ lacks the name: unread deferred tables
+        if name not in ("images", "inverse_images") or "_build" not in self.__dict__:
+            raise AttributeError(name)
+        build, args = self.__dict__.pop("_build")
+        self.__dict__["images"], self.__dict__["inverse_images"] = build(*args)
+        return self.__dict__[name]
+
+    @classmethod
     def identity(cls, rank: int) -> "FreeAutomorphism":
         gens = tuple((k + 1,) for k in range(rank))
         return cls._trusted(rank, gens, gens)
@@ -298,13 +314,7 @@ class FreeAutomorphism:
         word = reduce_letters(word, rank)
         if any(abs(x) not in moved for x in word):
             raise ValueError("conjugating word uses a generator it does not move")
-        wi = invert_letters(word)
-        gens = range(1, rank + 1)
-        images = tuple(concat(wi, (u,), word) if u in moved else (u,) for u in gens)
-        inverse_images = tuple(
-            concat(word, (u,), wi) if u in moved else (u,) for u in gens
-        )
-        return cls._trusted(rank, images, inverse_images)
+        return cls._deferred(rank, _conjugation_tables, rank, word, moved)
 
     @classmethod
     def inner(cls, rank: int, w: Sequence[int]) -> "FreeAutomorphism":
@@ -346,3 +356,12 @@ def compose(f: FreeAutomorphism, g: FreeAutomorphism) -> FreeAutomorphism:
     images = tuple(f.apply(w) for w in g.images)
     inverse_images = tuple(g.apply_inverse(w) for w in f.inverse_images)
     return FreeAutomorphism._trusted(f.rank, images, inverse_images)
+
+
+def _conjugation_tables(rank: int, word: Letters, moved: Sequence[int]):
+    """The tables of ``FreeAutomorphism.conjugation``."""
+    wi, gens = invert_letters(word), range(1, rank + 1)
+    return tuple(
+        tuple(concat(a, (u,), b) if u in moved else (u,) for u in gens)
+        for a, b in ((wi, word), (word, wi))
+    )

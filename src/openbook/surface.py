@@ -24,9 +24,11 @@ Conventions, fixed once and locked by the homology outputs downstream:
   and ``mcg.evaluate`` and the search fold the same keys.
 * ``stabilize`` is one rule for every boundary index: each curve's twist
   is carried to the new page by the basis change, zero-extended, or
-  replaced by a conjugation.  These are built trusted, since each is an
-  automorphism whenever the input twist is; automorphisms are checked
-  where they enter (the public constructor, ``from_images``, JSON).
+  replaced by a conjugation.  These are built trusted, on first read:
+  each is an automorphism whenever the input twist is, and a carried
+  twist keeps only its first page's automorphism and the steps (t, z_K)
+  since; automorphisms are checked where they enter (the public
+  constructor, ``from_images``, JSON).
 
 The builtin catalogs cover the one- and two-boundary genus-1 pages.  The
 two partition-curve automorphisms of the two-boundary page (s2, s3) and
@@ -46,7 +48,6 @@ from typing import Mapping, Sequence
 from .freegroup import (
     FreeAutomorphism,
     Letters,
-    apply_images,
     are_conjugate,
     concat,
     det,
@@ -87,11 +88,7 @@ class SurfaceSpec:
             raise ValueError("need one boundary word per boundary component")
         words = tuple(reduce_letters(w, m) for w in self.boundary_words)
         object.__setattr__(self, "boundary_words", words)
-        total = [0] * m
-        for w in words:
-            for i, e in enumerate(exponent_sums(w, m)):
-                total[i] += e
-        if any(total):
+        if any(exponent_sums([x for w in words for x in w], m)):
             raise ValueError("boundary words do not abelianise to zero")
 
     @property
@@ -156,19 +153,17 @@ class CurveConfig:
 Catalog = dict[str, CurveConfig]
 
 
-def _boundary_curve(
-    spec: SurfaceSpec, i: int, aut: FreeAutomorphism | None = None
-) -> CurveConfig:
+def _boundary_curve(spec: SurfaceSpec, i: int, ident=None) -> CurveConfig:
     """d<i>, parallel to boundary component i: h = p is the class of that
-    component, and the twist ``aut`` is inner(b_1) for i = 1 and trivial
-    on pi_1 otherwise (built when not given)."""
+    component, and the twist is inner(b_1) for i = 1 and trivial on pi_1
+    otherwise (the identity ``ident`` when given)."""
     m, g2 = spec.rank, 2 * spec.genus
     if i == 1:
         h = (0,) * g2 + (-1,) * (spec.boundary - 1)
-        aut = aut or FreeAutomorphism.inner(m, spec.boundary_words[0])
+        aut = FreeAutomorphism.inner(m, spec.boundary_words[0])
     else:
         h = tuple(1 if j == g2 + i - 2 else 0 for j in range(m))
-        aut = aut or FreeAutomorphism.identity(m)
+        aut = ident or FreeAutomorphism.identity(m)
     return CurveConfig(f"d{i}", h, (0,) * m, h, i, aut)
 
 
@@ -567,21 +562,34 @@ class StabResult:
     k_index: int
 
 
-def _transported_aut(
-    aut: FreeAutomorphism, new_rank: int, sub: FreeAutomorphism | None
-) -> FreeAutomorphism:
-    """S o (aut * fix t) o S^-1 for the basis change S = ``sub``, with t
-    the new last generator; S = None, the identity, zero-extends ``aut``.
-    Built trusted: a conjugate of an automorphism is one."""
-    def transport(table: Sequence[Letters]) -> tuple[Letters, ...]:
-        extended = (*table, (new_rank,))
-        if sub is None:
-            return extended
-        return tuple(sub.apply(apply_images(extended, w)) for w in sub.inverse_images)
+def _split_zk(words: Sequence[Letters], zk: int, t: int) -> list[Letters]:
+    """z_K -> z_K t on reduced words without t; the results are reduced."""
+    split = {zk: (zk, t), -zk: (-t, -zk)}
+    return [tuple(y for x in w for y in split.get(x, (x,))) for w in words]
 
-    return FreeAutomorphism._trusted(
-        new_rank, transport(aut.images), transport(aut.inverse_images)
-    )
+
+def _transport_tables(root: FreeAutomorphism, steps):
+    """The tables of ``root`` carried through ``steps`` (t, z_K or None):
+    S o (aut * fix t) o S^-1 takes x to S(aut(x)), z_K to S(aut(z_K)) t^-1
+    (only this seam can cancel) and t to t."""
+    tables = root.images, root.inverse_images
+    for t, zk in steps:
+        if zk is not None:
+            tables = [_split_zk(table, zk, t) for table in tables]
+            for table in tables:
+                table[zk - 1] = concat(table[zk - 1], (-t,))
+        fixed = (t,)
+        tables = tuple((*table, fixed) for table in tables)
+    return tables
+
+
+def _transported_aut(aut: FreeAutomorphism, t: int, zk: int | None) -> FreeAutomorphism:
+    """S o (aut * fix t) o S^-1 for S: z_K -> z_K t, t the new last
+    generator, or the identity (zk None); built trusted, on first read, as
+    a conjugate of an automorphism is one.  An unread one gains a step."""
+    build, args = aut.__dict__.get("_build", (None, None))
+    root, steps = args if build is _transport_tables else (aut, ())
+    return FreeAutomorphism._deferred(t, _transport_tables, root, steps + ((t, zk),))
 
 
 def stabilize(
@@ -611,31 +619,28 @@ def stabilize(
     h and p are zero-extended with the z_K/A_K weight copied into the
     fresh slot (no copy for K = 1), q is zero-extended, and the curves
     d<K> and d<n+1> parallel to the two new holes come last.  Every
-    derived automorphism is built trusted, not re-checked: a conjugate
-    or zero-extension of an automorphism is one, and so are the
-    conjugations and inner maps (see ``FreeAutomorphism.conjugation``).
+    derived automorphism is built trusted, on first read, not re-checked:
+    a conjugate or zero-extension of an automorphism is one, and so are
+    the conjugations and inner maps (see ``FreeAutomorphism.conjugation``).
     """
     g, n, m = surface.genus, surface.boundary, surface.rank
     if not 1 <= K <= n:
         raise ValueError(f"invalid boundary index {K} for {surface.name}")
+    # the rule takes the builtin one-holed torus at K = 1 to the builtin
+    # two-holed page; hand back its full nine-curve catalog
+    if K == 1 and (surface, catalog) == _sigma11():
+        return StabResult(*load_builtin("sigma12"), {"d": "g"}, "d1", 2)
     new_n, t = n + 1, m + 1
     ident = FreeAutomorphism.identity(t)
     if K == 1:
-        pos, sub = None, None
+        zk = None
         far_word, far_side = surface.boundary_words[0], range(1, t)
         new_b1 = concat(far_word, (-t,))
         k_index, stab_index = new_n, 1
     else:
         zk = 2 * g + K - 1  # the generator z_K
-        pos = zk - 1
-        gens = range(1, t + 1)
-        sub = FreeAutomorphism._trusted(
-            t,
-            tuple((zk, t) if u == zk else (u,) for u in gens),
-            tuple((zk, -t) if u == zk else (u,) for u in gens),
-        )
         far_word = far_side = (zk, t)
-        new_b1 = sub.apply(surface.boundary_words[0])
+        new_b1 = _split_zk(surface.boundary_words[:1], zk, t)[0]
         k_index, stab_index = K, new_n
     new_surface = SurfaceSpec(
         g, new_n,
@@ -643,10 +648,9 @@ def stabilize(
         surface.rel_labels + (f"A{new_n}",),
         (new_b1,) + surface.boundary_words[1:] + ((t,),),
     )
-    b1_twist = FreeAutomorphism.inner(t, new_b1)
 
     def extend(v: Vector) -> Vector:
-        return (*v, 0 if pos is None else v[pos])
+        return (*v, 0 if zk is None else v[zk - 1])
 
     def derived_aut(cfg: CurveConfig) -> FreeAutomorphism | None:
         bpt = cfg.boundary_parallel_to
@@ -655,12 +659,12 @@ def stabilize(
         if bpt == K:
             return FreeAutomorphism.conjugation(t, far_word, far_side)
         if bpt == 1:
-            return b1_twist
+            return FreeAutomorphism.inner(t, new_b1)
         if bpt is not None:
             return _transported_aut(cfg.aut, t, None)
-        if pos is not None and (cfg.h[pos] or cfg.p[pos]):
+        if zk is not None and (cfg.h[zk - 1] or cfg.p[zk - 1]):
             return None
-        return _transported_aut(cfg.aut, t, sub)
+        return _transported_aut(cfg.aut, t, zk)
 
     new_catalog: Catalog = {}
     renames: dict[str, str] = {}
@@ -679,19 +683,8 @@ def stabilize(
         insert(CurveConfig(
             name, extend(cfg.h), (*cfg.q, 0), extend(cfg.p), bpt, derived_aut(cfg)
         ))
-    insert(_boundary_curve(new_surface, K, b1_twist if K == 1 else ident))
+    insert(_boundary_curve(new_surface, K, ident))
     insert(_boundary_curve(new_surface, new_n, ident))
-
-    # stabilising the builtin one-holed torus reproduces the builtin
-    # two-holed page; hand back its full nine-curve catalog
-    if surface.name == "sigma11" and K == 1:
-        spec12, cat12 = load_builtin("sigma12")
-        if new_surface == spec12 and all(
-            new_catalog[k] == cat12[k] for k in new_catalog
-        ):
-            for extra in ("e", "s1", "s2", "s3"):
-                new_catalog[extra] = cat12[extra]
-            new_catalog = {k: new_catalog[k] for k in cat12}
 
     return StabResult(
         surface=new_surface,

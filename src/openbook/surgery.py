@@ -181,10 +181,12 @@ def inadmissible_surgery(
 def surgery(
     ob: OpenBook, binding: str, r: Fraction, n: int | None = None
 ) -> OpenBook:
-    """Dispatch on the coefficient: r < -1 admissible, r > 0
-    inadmissible; coefficients in [-1, 0] are not realised by either
-    construction."""
+    """Dispatch on the coefficient: r < -1 admissible (raises if the twist
+    count n is given), r > 0 inadmissible; coefficients in [-1, 0] are
+    not realised by either construction."""
     if r < -1:
+        if n is not None:
+            raise ValueError(f"twist count n={n} applies only to r > 0, got r={r}")
         return admissible_surgery(ob, binding, r)
     if r > 0:
         return inadmissible_surgery(ob, binding, r, n)

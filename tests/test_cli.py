@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from openbook.cli import main
 
@@ -58,6 +64,16 @@ def test_surgery(capsys):
         "surgery", "--surface", "sigma11", "--word", "a b", "--K", "1", "--r", "-1/2",
     )
     assert code == 1 and "is in [-1, 0]" in err
+
+
+def test_surgery_twist_count_needs_positive_r(capsys):
+    code, out, err = run(
+        capsys,
+        "surgery", "--surface", "sigma11", "--word", "a b",
+        "--K", "1", "--r", "-7/2", "--n", "3",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: twist count n=3 applies only to r > 0, got r=-7/2\n"
 
 
 def test_h1(capsys):
@@ -364,6 +380,98 @@ def test_malformed_config_files(tmp_path, capsys):
     assert (code, out, err) == (1, "structure: FAIL (curve a: q != J p)\n", "")
     code, out, err = run(capsys, "eval", "--config", str(path), "--word", "a", "--json")
     assert (code, out, err) == (1, "", "error: config validation failed: structure\n")
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10) | st.integers()
+    | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_SIZES = st.integers(-2, 4) | st.sampled_from([10**3, 10**4])
+
+
+def _mutate(obj, data):
+    """One random edit of a catalog object: a signature, a top-level or
+    curve field, or one letter, word or entry of its lists."""
+    kind = data.draw(st.sampled_from(["size", "top", "curve", "letter", "drop", "copy"]))
+    curves = obj.get("curves") if isinstance(obj.get("curves"), list) else []
+    if kind == "size":
+        obj[data.draw(st.sampled_from(["genus", "boundary"]))] = data.draw(_SIZES)
+    elif kind == "top":
+        key = data.draw(st.sampled_from(["genus", "boundary", "boundary_words", "curves"]))
+        if data.draw(st.booleans()):
+            obj.pop(key, None)
+        else:
+            obj[key] = data.draw(_JSON_VALUES)
+    elif kind in ("curve", "drop", "copy") and curves:
+        i = data.draw(st.integers(0, len(curves) - 1))
+        if kind == "drop":
+            del curves[i]
+        elif kind == "copy":
+            curves.append(json.loads(json.dumps(curves[i])))
+        elif isinstance(curves[i], dict):
+            key = data.draw(st.sampled_from(["name", "h", "q", "p", "boundary_parallel_to", "aut"]))
+            curves[i][key] = data.draw(_JSON_VALUES | st.sampled_from(["a", "d1", 1, 2, 9]))
+    elif kind == "letter":
+        # a letter of a boundary word or of an automorphism image
+        words = [w for w in obj.get("boundary_words", []) if isinstance(w, list)]
+        for curve in curves:
+            aut = curve.get("aut") if isinstance(curve, dict) else None
+            if isinstance(aut, dict):
+                words += [w for k in ("images", "inverse_images") for w in aut.get(k, []) if isinstance(w, list)]
+        if words:
+            word = data.draw(st.sampled_from(words))
+            letter = data.draw(st.integers(-5, 5) | st.sampled_from([10**6, -(10**9)]))
+            if word and data.draw(st.booleans()):
+                word[data.draw(st.integers(0, len(word) - 1))] = letter
+            else:
+                word.append(letter)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["sigma11", "sigma12"]), st.data())
+def test_fuzzed_configs_exit_cleanly(name, data):
+    # mutated builtin catalogs: the parser raises ValueError or returns,
+    # and every command exits 0, 1 or 2 with no traceback
+    from openbook.surface import catalog_from_json, catalog_to_json, load_builtin
+
+    obj = json.loads(catalog_to_json(*load_builtin(name)))
+    if data.draw(st.booleans()):
+        del obj["boundary_words"]
+    for _ in range(data.draw(st.integers(0, 3))):
+        _mutate(obj, data)
+    text = json.dumps(obj)
+    try:
+        catalog_from_json(text)
+    except ValueError:
+        pass
+    word = data.draw(st.sampled_from(["a b", "d", "a^-2 d1 g"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "page.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        for argv in (
+            ["validate", "--config", path],
+            ["h1", "--config", path, "--word", word],
+            ["eval", "--config", path, "--word", word, "--json"],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in err.getvalue() and len(err.getvalue().splitlines()) <= 1
+
+
+def test_huge_signature_configs(tmp_path, capsys):
+    # 10^5 boundary components parse in linear time (the abelianisation
+    # check once summed every boundary word into its own length-m vector)
+    path = tmp_path / "huge.json"
+    a = {"name": "a", "h": [1, 0], "q": [0, 1], "p": [0, 1]}
+    path.write_text(json.dumps({"genus": 1, "boundary": 10**5, "curves": [a]}))
+    code, out, err = run(capsys, "validate", "--config", str(path))
+    assert (code, err) == (1, "")
+    assert out.startswith("structure: FAIL (curve a: vectors have length 2, want 100001)\n")
 
 
 def test_help_and_unknown(capsys):

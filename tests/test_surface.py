@@ -1,12 +1,16 @@
 import dataclasses
 import json
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from openbook.freegroup import FreeAutomorphism
+from openbook import freegroup, surface
+from openbook.cli import main
+from openbook.freegroup import FreeAutomorphism, compose, reduce_letters
+from openbook.homology import h1_of_open_book
 from openbook.mcg import TwistWord
 from openbook.surface import (
     RELATION_PATTERNS,
@@ -183,8 +187,19 @@ def test_stabilize_matches_builtin():
     spec12, catalog12 = load_builtin("sigma12")
     assert result.surface == spec12
     assert result.catalog == catalog12
+    assert list(result.catalog) == list(catalog12)
     assert result.renames == {"d": "g"}
-    assert result.k_index == 2
+    assert (result.stab_curve, result.k_index) == ("d1", 2)
+    # the builtin page is handed back only for the builtin input; the rule
+    # itself, run on a catalog with one more curve, gives the same curves
+    extra = dict(catalog, c=dataclasses.replace(catalog["a"], name="c"))
+    ruled = stabilize(spec, extra, 1)
+    assert ruled.surface == spec12
+    assert list(ruled.catalog) == ["a", "b", "g", "c", "d1", "d2"]
+    for name in ("a", "b", "g", "d1", "d2"):
+        assert ruled.catalog[name] == catalog12[name]
+    assert ruled.catalog["c"] == dataclasses.replace(catalog12["a"], name="c")
+    assert (ruled.renames, ruled.stab_curve, ruled.k_index) == ({"d": "g"}, "d1", 2)
 
 
 def test_stabilize_second_component():
@@ -237,6 +252,148 @@ def test_stabilisation_chains_stay_valid():
                 if cfg.aut is not None:
                     aut = cfg.aut
                     assert aut == FreeAutomorphism(aut.rank, aut.images, aut.inverse_images)
+
+
+def _conjugation_reference(rank, word, moved):
+    """Images both ways of u -> word^-1 u word on ``moved``, by hand."""
+    wi = tuple(-x for x in reversed(word))
+    return tuple(
+        tuple(reduce_letters(a + (u,) + b) if u in moved else (u,) for u in range(1, rank + 1))
+        for a, b in ((wi, word), (word, wi))
+    )
+
+
+def _transport_reference(aut, t, zk):
+    """S o (aut * fix t) o S^-1 by plain composition, for the basis change
+    S: z_K -> z_K t (the identity when zk is None)."""
+    ext = FreeAutomorphism(t, aut.images + ((t,),), aut.inverse_images + ((t,),))
+    if zk is None:
+        return ext
+    s = FreeAutomorphism(
+        t,
+        [(zk, t) if u == zk else (u,) for u in range(1, t + 1)],
+        [(zk, -t) if u == zk else (u,) for u in range(1, t + 1)],
+    )
+    return compose(s, compose(ext, s.inverse()))
+
+
+def test_stabilised_tables_match_transport():
+    # each derived automorphism equals the stabilisation rule computed
+    # here with plain composition; tables are read at some pages and not
+    # at others, so transports of read and of unread tables both occur.
+    # On builtin pages every carried twist commutes with z_K -> z_K t, so
+    # half the chains carry a curve w whose automorphism, a product of two
+    # catalog twists, need not (the rule does not ask w to be a curve)
+    rng = random.Random(13)
+    flattened = 0
+    for _ in range(200):
+        spec, catalog = load_builtin(rng.choice(["sigma11", "sigma12"]))
+        if rng.random() < 0.5:
+            u, v = (catalog[rng.choice(sorted(catalog))].aut for _ in range(2))
+            zero = (0,) * spec.rank
+            catalog["w"] = CurveConfig("w", zero, zero, zero, aut=compose(u, v.inverse()))
+        ref = {name: cfg.aut for name, cfg in catalog.items()}
+        steps = rng.randint(1, 5)
+        for step in range(steps):
+            K = rng.randint(1, spec.boundary)
+            result = stabilize(spec, catalog, K)
+            new, t = result.catalog, spec.rank + 1
+            zk = None if K == 1 else 2 * spec.genus + K - 1
+            b1 = result.surface.boundary_words[0]
+            if K == 1 and (spec, catalog) == load_builtin("sigma11"):
+                want = {name: cfg.aut for name, cfg in new.items()}
+            else:
+                far = (spec.boundary_words[0], range(1, t)) if K == 1 else ((zk, t), (zk, t))
+                want = {
+                    f"d{K}": _conjugation_reference(t, b1, range(1, t + 1)) if K == 1 else None,
+                    f"d{result.surface.boundary}": None,
+                }
+                for name, cfg in catalog.items():
+                    bpt = cfg.boundary_parallel_to
+                    if cfg.aut is None or (zk and bpt is None and (cfg.h[zk - 1] or cfg.p[zk - 1])):
+                        aut = None
+                    elif bpt == K:
+                        aut = _conjugation_reference(t, *far)
+                    elif bpt == 1:
+                        aut = _conjugation_reference(t, b1, range(1, t + 1))
+                    else:
+                        aut = _transport_reference(ref[name], t, None if bpt else zk)
+                    want[result.renames.get(name, name)] = aut
+            assert set(want) == set(new)
+            ref = {}
+            for name, aut in want.items():
+                if isinstance(aut, tuple):
+                    aut = FreeAutomorphism(t, *aut)
+                elif aut is None and new[name].boundary_parallel_to:
+                    aut = FreeAutomorphism.identity(t)
+                ref[name] = aut
+                assert (new[name].aut is None) == (aut is None), name
+            flattened += sum(
+                "_build" in cfg.aut.__dict__ and len(cfg.aut.__dict__["_build"][1][1]) > 1
+                for cfg in new.values() if cfg.aut is not None
+            )
+            if step == steps - 1 or rng.random() < 0.5:
+                for name, cfg in new.items():
+                    if cfg.aut is not None:
+                        assert cfg.aut.images == ref[name].images, name
+                        assert cfg.aut.inverse_images == ref[name].inverse_images, name
+            spec, catalog = result.surface, new
+    assert flattened > 100
+
+
+def test_surgery_builds_no_table(monkeypatch, capsys):
+    # surgery, H1 and the surgery command never read a stabilised table;
+    # the first read of one builds it, once
+    calls, armed = [], [True]
+
+    def watch(builder):
+        def watched(*args):
+            if armed:
+                raise AssertionError("built a table")
+            calls.append(builder)
+            return builder(*args)
+        return watched
+
+    monkeypatch.setattr(surface, "_transport_tables", watch(surface._transport_tables))
+    monkeypatch.setattr(freegroup, "_conjugation_tables", watch(freegroup._conjugation_tables))
+    spec, catalog = load_builtin("sigma11")
+    book = OpenBook.standard(spec, TwistWord.parse(spec, catalog, "a b"))
+    pages = [surgery(book, "1", r) for r in (Fraction(-30), Fraction(-7, 2), Fraction(17, 5))]
+    assert [h1_of_open_book(ob).order for ob in pages] == [30, 7, 17]
+    argv = ["surgery", "--surface", "sigma11", "--word", "a b", "--K", "1", "--r", "-120"]
+    assert main(argv) == 0 and capsys.readouterr().out.startswith("surface: sigma1120\n")
+    armed.clear()
+    deferred = {}
+    for ob in pages:
+        for cfg in ob.word.catalog.values():
+            build = cfg.aut.__dict__.get("_build") if cfg.aut is not None else None
+            if build is not None:
+                deferred[id(cfg.aut)] = cfg.aut
+                root = build[1][0]
+                if build[0] is surface._transport_tables and "_build" in root.__dict__:
+                    deferred[id(root)] = root
+    assert len(deferred) > 30
+    for aut in deferred.values():
+        assert aut.images is aut.images and aut.inverse_images
+    assert len(calls) == len(deferred)
+    for ob in pages:
+        for cfg in ob.word.catalog.values():
+            if cfg.aut is not None:
+                assert cfg.aut == FreeAutomorphism(cfg.aut.rank, cfg.aut.images, cfg.aut.inverse_images)
+    assert len(calls) == len(deferred)
+
+
+def test_surface_spec_is_linear_in_boundary():
+    # the abelianisation check sums all boundary words at once: 20000
+    # components take milliseconds, and took 30 s when each
+    # word was summed into its own length-m vector
+    start = time.perf_counter()
+    spec = SurfaceSpec.standard(1, 20000)
+    assert spec.rank == 20001 and time.perf_counter() - start < 5
+    words = list(spec.boundary_words)
+    words[-1] = (20001, 20001)
+    with pytest.raises(ValueError, match="boundary words do not abelianise to zero"):
+        SurfaceSpec(1, 20000, spec.gen_labels, spec.rel_labels, tuple(words))
 
 
 def test_stabilize_errors():

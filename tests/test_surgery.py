@@ -136,6 +136,18 @@ def test_surgery_errors():
         inadmissible_surgery(ob, "1", Fraction(-3))
 
 
+def test_surgery_rejects_twist_count_for_admissible():
+    # n counts the negative twists of an inadmissible surgery; an
+    # admissible coefficient has none, so a given n is an error, not ignored
+    ob = trefoil_book()
+    for r, n in ((Fraction(-7, 2), 3), (Fraction(-2), 1), (Fraction(-5, 4), 0)):
+        with pytest.raises(ValueError, match=f"twist count n={n} applies only to r > 0"):
+            surgery(ob, "1", r, n)
+    assert surgery(ob, "1", Fraction(-7, 2)).word.render() == "a b d1 d3 d4 d2^2"
+    with pytest.raises(ValueError, match="is in \\[-1, 0\\]"):
+        surgery(ob, "1", Fraction(-1, 2), 1)
+
+
 def test_integral_surgery_homology_orders():
     # p-surgery on a knot in the three-sphere has first homology Z/p,
     # whatever the knot: only the framing matrix survives abelianisation

@@ -310,6 +310,8 @@ def _cmd_kirby(tokens) -> int:
         except ValueError:
             raise UsageError(f"bad --link {item!r}; expected i-j:lk") from None
         key = (a, b) if a < b else (b, a)
+        if key in linking:
+            raise UsageError(f"linking of {key[0]}-{key[1]} given twice")
         linking[key] = lk
     link = FramedLinkPresentation(labels, coeffs, linking)
 

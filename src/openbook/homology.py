@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from operator import mul
 from typing import Sequence
 
@@ -131,72 +132,63 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]
         entries d_1 | d_2 | ... | d_rank of the Smith normal form, all
         positive, and ``rank`` is the rank of the matrix.
 
-    The reduction is the classical one: move a smallest-magnitude
-    nonzero entry to the pivot, use division with remainder to shrink
-    its row and column until it divides both, clear them, and restore
-    the divisibility chain at the end by folding offending entries back
-    into the pivot.  Exact integer arithmetic throughout.
+    While more than two nonzero rows are left, a pass pivots on a unit,
+    else on a least entry p: it reduces p's column by floor quotients,
+    then, once that column is clean, p's row mod p (which changes no
+    other row).  If both are clean, |p| splits off with its row and
+    column, as a unit always does; else a smaller remainder is the next
+    pivot.  The last two rows give d_1 = gcd of their entries and
+    d_1 d_2 = gcd of their 2x2 minors, 0 at rank 1 (Cohen, GTM 138,
+    2.4.4).  A gcd/lcm fold restores d_i | d_{i+1}.
     """
-    m = [list(row) for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    if any(len(row) != cols for row in m):
+    cols = len(a[0]) if a else 0
+    if any(len(row) != cols for row in a):
         raise ValueError("ragged matrix")
+    m = [list(row) for row in a if any(row)]
     divisors: list[int] = []
-    t = 0
-    while t < rows and t < cols:
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < best):
-                    best = abs(m[i][j])
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        m[t], m[pi] = m[pi], m[t]
+    while len(m) > 2:
         for row in m:
-            row[t], row[pj] = row[pj], row[t]
-        while True:
-            for i in range(t + 1, rows):
-                if m[i][t] != 0:
-                    quot = m[i][t] // m[t][t]
-                    for j in range(t, cols):
-                        m[i][j] -= quot * m[t][j]
-            for j in range(t + 1, cols):
-                if m[t][j] != 0:
-                    quot = m[t][j] // m[t][t]
-                    for i in range(t, rows):
-                        m[i][j] -= quot * m[i][t]
-            if all(m[i][t] == 0 for i in range(t + 1, rows)) and all(
-                m[t][j] == 0 for j in range(t + 1, cols)
-            ):
+            if 1 in row or -1 in row:
+                p = 1 if 1 in row else -1
                 break
-            # a smaller remainder appeared somewhere in the pivot row or
-            # column; promote it and repeat
-            best = abs(m[t][t])
-            for i in range(t, rows):
-                if m[i][t] != 0 and abs(m[i][t]) < best:
-                    best = abs(m[i][t])
-                    m[t], m[i] = m[i], m[t]
-            for j in range(t, cols):
-                if m[t][j] != 0 and abs(m[t][j]) < best:
-                    best = abs(m[t][j])
-                    for row in m:
-                        row[t], row[j] = row[j], row[t]
-        divisors.append(abs(m[t][t]))
-        t += 1
+        else:
+            p = min(min(map(abs, filter(None, row))) for row in m)
+            row = next(row for row in m if p in row or -p in row)
+            p = p if p in row else -p
+        j = row.index(p)
+        rest = []
+        clean = True
+        for other in m:
+            if other is not row:
+                if other[j]:
+                    q = other[j] // p
+                    other = [x - q * y for x, y in zip(other, row)]
+                    if other[j]:
+                        clean = False
+                    elif not any(other):
+                        continue
+                rest.append(other)
+        if clean and not any(x % p for x in row):
+            divisors.append(abs(p))
+            for other in rest:
+                del other[j]
+        else:
+            if clean:
+                row = [x % p for x in row]
+                row[j] = p
+            rest.append(row)
+        m = rest
+    if m:
+        divisors.append(math.gcd(*m[0], *m[-1]))
+        if len(m) == 2:
+            minors = math.gcd(*[x * w - y * z for (x, z), (y, w) in combinations(zip(*m), 2)])
+            if minors:
+                divisors.append(minors // divisors[-1])
     # restore the divisibility chain d_i | d_{i+1}
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(divisors) - 1):
-            a_, b_ = divisors[i], divisors[i + 1]
-            if b_ % a_ != 0:
-                g = math.gcd(a_, b_)
-                divisors[i], divisors[i + 1] = g, a_ * b_ // g
-                changed = True
+    for i in range(len(divisors)):
+        for k in range(i + 1, len(divisors)):
+            g = math.gcd(divisors[i], divisors[k])
+            divisors[i], divisors[k] = g, divisors[i] * divisors[k] // g
     return tuple(divisors), len(divisors)
 
 
@@ -273,8 +265,9 @@ def append_twist(
     D_c = h p^T: D R_c + D_c = D + (D Jh + h) p^T, a rank-one update.
     Passing e p for p appends tau_c^e instead (exact as p . Jh = 0).
     """
-    rows = ((row, hi + sum(map(mul, row, jh))) for row, hi in zip(d, h))
-    return tuple(tuple([x + ui * pj for x, pj in zip(row, p)]) if ui else row for row, ui in rows)
+    u = [hi + sum(map(mul, row, jh)) for row, hi in zip(d, h)]
+    return tuple([tuple([x + ui * pj for x, pj in zip(row, p)]) if ui else row
+                  for row, ui in zip(d, u)])
 
 
 def compose_linear(items: Sequence[Matrix], genus: int) -> Matrix:
@@ -328,5 +321,6 @@ def h1_of_open_book(ob) -> AbelianGroup:
             cfg = word.catalog[name]
         except KeyError:
             raise ValueError(f"no pairing data for curve {name!r}") from None
-        d = append_twist(d, cfg.h[:g2], cfg.h, tuple(exp * x for x in cfg.p))
+        p = cfg.p if exp == 1 else tuple(exp * x for x in cfg.p)
+        d = append_twist(d, cfg.h[:g2], cfg.h, p)
     return cokernel(d)

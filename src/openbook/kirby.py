@@ -54,15 +54,16 @@ class FramedLinkPresentation:
 
 
 def presentation_matrix(link: FramedLinkPresentation) -> Matrix:
-    rows = []
-    for i, a in enumerate(link.labels):
-        p, q = link.coefficients[i].numerator, link.coefficients[i].denominator
-        rows.append(
-            tuple(
-                p if a == b else q * link.lk(a, b) for b in link.labels
-            )
-        )
-    return tuple(rows)
+    """Rows p_i on the diagonal, q_i lk(i, j) off it; one pass over the linking."""
+    index = {a: i for i, a in enumerate(link.labels)}
+    q = [c.denominator for c in link.coefficients]
+    rows = [[0] * len(q) for _ in q]
+    for (a, b), lk in link.linking.items():
+        i, j = index[a], index[b]
+        rows[i][j], rows[j][i] = q[i] * lk, q[j] * lk
+    for i, c in enumerate(link.coefficients):
+        rows[i][i] = c.numerator
+    return tuple(map(tuple, rows))
 
 
 def h1_of_link(link: FramedLinkPresentation) -> AbelianGroup:
@@ -79,14 +80,15 @@ def blow_down(link: FramedLinkPresentation, label: str) -> FramedLinkPresentatio
         raise ValueError(f"blow-down needs framing +1 or -1, got {eps}")
     eps = int(eps)
     rest = tuple(a for a in link.labels if a != label)
+    col = {b if a == label else a: lk for (a, b), lk in link.linking.items() if label in (a, b)}
     coeffs = tuple(
-        link.coefficients[link.labels.index(a)] - eps * link.lk(a, label) ** 2
-        for a in rest
+        c - eps * col.get(a, 0) ** 2
+        for a, c in zip(link.labels, link.coefficients) if a != label
     )
     linking = {}
     for i, a in enumerate(rest):
         for b in rest[i + 1:]:
-            lk = link.lk(a, b) - eps * link.lk(a, label) * link.lk(b, label)
+            lk = link.linking.get(_pair(a, b), 0) - eps * col.get(a, 0) * col.get(b, 0)
             if lk:
                 linking[_pair(a, b)] = lk
     return FramedLinkPresentation(rest, coeffs, linking)

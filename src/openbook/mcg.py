@@ -181,7 +181,8 @@ def _fold(start: MappingClass, twists) -> MappingClass:
     for cfg, exp in twists:
         if rho is None or cfg.aut is None:
             rho = None
-            d = append_twist(d, cfg.h[:2 * genus], cfg.h, tuple(exp * x for x in cfg.p))
+            p = cfg.p if exp == 1 else tuple(exp * x for x in cfg.p)
+            d = append_twist(d, cfg.h[:2 * genus], cfg.h, p)
             continue
         step = twist_step(cfg, genus, 1 if exp > 0 else -1)
         for _ in range(abs(exp)):

@@ -295,6 +295,20 @@ def test_kirby(capsys):
     assert code == 1 and "bad surgery coefficient" in err
 
 
+def test_kirby_rejects_repeated_link(capsys):
+    # the same pair twice, in either order, is an error, not a silent overwrite
+    for second in ("1-2:4", "2-1:4", "2-1:3"):
+        code, out, err = run(
+            capsys, "kirby", "--coefficients", "1,-1", "--link", "1-2:3", "--link", second
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: linking of 1-2 given twice\n"
+    code, out, _ = run(
+        capsys, "kirby", "--coefficients", "1,-1,2", "--link", "1-2:3", "--link", "3-1:4"
+    )
+    assert code == 0 and "linking: 1-2:3 1-3:4" in out
+
+
 def test_validate(capsys):
     code, out, _ = run(capsys, "validate", "--surface", "sigma12")
     assert code == 0

@@ -77,6 +77,71 @@ def test_smith_normal_form_divisor_chain(rows):
     assert divisors == sympy_divisors(a)
 
 
+def _check_smith(a):
+    divisors, rank = smith_normal_form(a)
+    assert divisors == sympy_divisors(a), a
+    assert rank == len(divisors) == matrix_rank(a)
+    assert all(d > 0 for d in divisors)
+    assert all(e % d == 0 for d, e in zip(divisors, divisors[1:]))
+    return divisors
+
+
+def _seeded_matrix(rng, rows, cols, kind):
+    if kind == "unit-free":
+        entry = lambda: rng.choice((2, 3)) * rng.randint(-40, 40)
+    elif kind == "large":
+        entry = lambda: rng.randint(-10**6, 10**6)
+    else:
+        entry = lambda: rng.randint(-9, 9)
+    a = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if kind == "zero lines" and rows and cols:
+        for i in rng.sample(range(rows), rng.randint(0, rows)):
+            a[i] = [0] * cols
+        for j in rng.sample(range(cols), rng.randint(0, cols)):
+            for row in a:
+                row[j] = 0
+    return tuple(map(tuple, a))
+
+
+def test_smith_normal_form_rectangular_oracle():
+    # every shape from 0x0 to 7x7 (1xk and kx1 included), with zero rows
+    # and columns, with no unit entry at all, and with entries up to 10^6
+    rng = random.Random(1414)
+    for rows in range(8):
+        for cols in range(8):
+            for kind in ("small", "zero lines", "unit-free", "large"):
+                for _ in range(2):
+                    a = _seeded_matrix(rng, rows, cols, kind)
+                    if kind == "unit-free":
+                        assert not any(abs(x) == 1 for row in a for x in row)
+                    _check_smith(a)
+
+
+def test_smith_normal_form_branches():
+    # a unit pivot on more than two rows: its row and column split off
+    unit = ((4, 6, 1), (8, 2, 3), (6, 10, 5))
+    assert _check_smith(unit) == (1, 2, 72)
+    # no unit on more than two rows: pivot 4 leaves the remainders 2 and 1
+    # in its column, so the Euclid step loops before anything splits off
+    euclid = ((4, 6, 0), (6, 4, 0), (9, 0, 9))
+    assert not any(abs(x) == 1 for row in euclid for x in row)
+    assert _check_smith(euclid) == (1, 2, 90)
+    # the pivot's column is clean but its row is not: reduced mod p, loops
+    row_first = ((2, 3, 0), (0, 6, 0), (0, 0, 10))
+    assert _check_smith(row_first) == (1, 2, 60)
+    # a unit-free pivot that splits off at once, then the two-row tail
+    assert _check_smith(((2, 0, 0), (0, 4, 6), (0, 6, 4))) == (2, 2, 10)
+    # the two-row tail: rank 2 (minors' gcd nonzero) and rank 1 (all zero)
+    assert _check_smith(((2, 4), (6, 2))) == (2, 10)
+    assert _check_smith(((2, 4, 6), (3, 6, 9))) == (1,)
+    assert _check_smith(((6,), (4,))) == (2,)
+    assert _check_smith(((0, 4, 0),)) == (4,)
+    # a rank-1 tail after a unit split
+    assert _check_smith(((1, 0, 0), (0, 4, 8), (0, 6, 12))) == (1, 2)
+    # 4 splits off first, the tail gives 3 and 18: the fold makes 1 | 6 | 36
+    assert _check_smith(((9, 0, 0), (0, 6, 0), (0, 0, 4))) == (1, 6, 36)
+
+
 def test_cokernel_and_rendering():
     assert str(cokernel(((1, 0), (0, 1)))) == "0"
     assert str(cokernel(((5,),))) == "Z/5"

@@ -129,6 +129,59 @@ def test_blow_down_preserves_homology():
         assert before == after, (link, before, after)
 
 
+def _random_link(rng):
+    """A seeded link: labels out of sorted order, rational framings, some
+    pairs absent and some stored with linking zero."""
+    k = rng.randint(1, 6)
+    labels = tuple(rng.sample(["a", "b", "c", "x1", "x2", "z", "10", "9"], k))
+    coefficients = [
+        Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 5))) for _ in range(k)
+    ]
+    linking = {}
+    for i in range(k):
+        for j in range(i + 1, k):
+            if rng.random() < 0.7:
+                a, b = sorted((labels[i], labels[j]))
+                linking[(a, b)] = rng.choice((0, -3, -2, -1, 1, 2, 3))
+    return labels, coefficients, linking
+
+
+def test_presentation_matrix_matches_definition():
+    rng = random.Random(2014)
+    for _ in range(RANDOM_ROUNDS):
+        labels, coefficients, linking = _random_link(rng)
+        link = FramedLinkPresentation(labels, tuple(coefficients), linking)
+        reference = tuple(
+            tuple(c.numerator if a == b else c.denominator * link.lk(a, b) for b in labels)
+            for a, c in zip(labels, coefficients)
+        )
+        assert presentation_matrix(link) == reference
+
+
+def test_blow_down_matches_formula():
+    # coefficient c_a - eps lk(a, v)^2 and linking lk(a, b) - eps lk(a, v) lk(b, v)
+    rng = random.Random(1413)
+    for _ in range(RANDOM_ROUNDS):
+        labels, coefficients, linking = _random_link(rng)
+        victim = rng.choice(labels)
+        eps = rng.choice((-1, 1))
+        coefficients[labels.index(victim)] = Fraction(eps)
+        link = FramedLinkPresentation(labels, tuple(coefficients), linking)
+        after = blow_down(link, victim)
+        rest = tuple(a for a in labels if a != victim)
+        assert after.labels == rest
+        assert after.coefficients == tuple(
+            c - eps * link.lk(a, victim) ** 2
+            for a, c in zip(labels, coefficients) if a != victim
+        )
+        for a in rest:
+            for b in rest:
+                if a != b:
+                    want = link.lk(a, b) - eps * link.lk(a, victim) * link.lk(b, victim)
+                    assert after.lk(a, b) == want
+        assert 0 not in after.linking.values()
+
+
 def test_blow_down_errors():
     link = FramedLinkPresentation(("1",), (Fraction(3, 2),))
     with pytest.raises(ValueError, match="needs framing \\+1 or -1"):

@@ -162,17 +162,30 @@ def sanov_substitute(
     With key = rho o phi, the result is rho o phi of the words; given the
     images of psi, that is rho o phi o psi on the generators.  With
     ``sanov_basis`` as the key it is rho of the words themselves.
+
+    Letters are read straight from ``key``, x_k^-1 as the inverse
+    (d, -b, -c, a) of key[k - 1].  A word starts from its first letter's
+    matrix, so an image of one letter costs no product; the empty word
+    gives the identity.
     """
-    table: dict[int, SL2] = {}
-    for k, (a, b, c, d) in enumerate(key, 1):
-        table[k] = (a, b, c, d)
-        table[-k] = (d, -b, -c, a)
     out = []
     for word in words:
-        a, b, c, d = 1, 0, 0, 1
-        for letter in word:
-            e, f, g, h = table[letter]
-            a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+        if not word:
+            out.append((1, 0, 0, 1))
+            continue
+        first = word[0]
+        if first > 0:
+            a, b, c, d = key[first - 1]
+        else:
+            d, b, c, a = key[-first - 1]
+            b, c = -b, -c
+        for letter in word[1:]:
+            if letter > 0:
+                e, f, g, h = key[letter - 1]
+                a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+            else:
+                h, f, g, e = key[-letter - 1]
+                a, b, c, d = a * e - b * g, b * h - a * f, c * e - d * g, d * h - c * f
         out.append((a, b, c, d))
     return tuple(out)
 

@@ -27,11 +27,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
 from typing import Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
+# the nonzero entries of a vector as (index, value) pairs
+Pairs = tuple[tuple[int, int], ...]
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -258,16 +259,31 @@ def twist_data(
     return scale_matrix(outer(h, p), exponent)
 
 
-def append_twist(
-    d: Matrix, jh: Sequence[int], h: Sequence[int], p: Sequence[int]
-) -> Matrix:
+def nonzero(v: Sequence[int], scale: int = 1) -> Pairs:
+    """The nonzero entries of ``scale`` v as (index, value) pairs."""
+    return tuple((i, scale * x) for i, x in enumerate(v) if x)
+
+
+def append_twist(d: Matrix, jh: Pairs, h: Sequence[int], p: Pairs) -> Matrix:
     """D of the word w tau_c from D of w, for the twist tau_c with
     D_c = h p^T: D R_c + D_c = D + (D Jh + h) p^T, a rank-one update.
-    Passing e p for p appends tau_c^e instead (exact as p . Jh = 0).
+
+    Jh and p come as their ``nonzero`` pairs, so a row costs only the
+    coordinates where they are nonzero, and a row with D_i Jh + h_i = 0
+    is shared, not copied.  Passing e p for p appends tau_c^e instead
+    (exact as p . Jh = 0).
     """
-    u = [hi + sum(map(mul, row, jh)) for row, hi in zip(d, h)]
-    return tuple([tuple([x + ui * pj for x, pj in zip(row, p)]) if ui else row
-                  for row, ui in zip(d, u)])
+    out = []
+    for row, u in zip(d, h):
+        for j, x in jh:
+            u += row[j] * x
+        if u:
+            row = list(row)
+            for j, x in p:
+                row[j] += u * x
+            row = tuple(row)
+        out.append(row)
+    return tuple(out)
 
 
 def compose_linear(items: Sequence[Matrix], genus: int) -> Matrix:
@@ -310,7 +326,8 @@ def h1_of_open_book(ob) -> AbelianGroup:
     ``word`` whose entries name curves in its catalog; only the (h, p)
     pairing data of those curves is used, so linear-only catalogs
     suffice.  The group is the cokernel of the deviation matrix D of the
-    monodromy word, folded one ``append_twist`` per entry.
+    monodromy word, folded one ``append_twist`` per entry (with e p for
+    an entry c^e).
     """
     surface = ob.surface
     word = ob.word
@@ -321,6 +338,5 @@ def h1_of_open_book(ob) -> AbelianGroup:
             cfg = word.catalog[name]
         except KeyError:
             raise ValueError(f"no pairing data for curve {name!r}") from None
-        p = cfg.p if exp == 1 else tuple(exp * x for x in cfg.p)
-        d = append_twist(d, cfg.h[:g2], cfg.h, p)
+        d = append_twist(d, nonzero(cfg.h[:g2]), cfg.h, nonzero(cfg.p, exp))
     return cokernel(d)

@@ -47,6 +47,13 @@ class FramedLinkPresentation:
             if not isinstance(lk, int):
                 raise ValueError("linking numbers are integers")
 
+    @classmethod
+    def _trusted(cls, labels, coefficients, linking) -> "FramedLinkPresentation":
+        """Wrap fields already known to pass ``__post_init__``."""
+        link = object.__new__(cls)
+        link.__dict__.update(labels=labels, coefficients=coefficients, linking=linking)
+        return link
+
     def lk(self, a: str, b: str) -> int:
         if a == b:
             return 0
@@ -72,26 +79,44 @@ def h1_of_link(link: FramedLinkPresentation) -> AbelianGroup:
 
 def blow_down(link: FramedLinkPresentation, label: str) -> FramedLinkPresentation:
     """Remove a (+-1)-framed unknotted component, absorbing it into the
-    framings and linkings of the rest."""
+    framings and linkings of the rest.
+
+    Only components that link the removed one change: framing c_a -
+    eps lk_a^2, linking lk_ab - eps lk_a lk_b, where eps is the removed
+    framing and lk_a its linking with a; no zero linking is stored.  The
+    result is built trusted, as it is a valid presentation whenever
+    ``link`` is.
+    """
     if label not in link.labels:
         raise ValueError(f"no component labelled {label!r}")
     eps = link.coefficients[link.labels.index(label)]
     if eps not in (1, -1):
         raise ValueError(f"blow-down needs framing +1 or -1, got {eps}")
     eps = int(eps)
-    rest = tuple(a for a in link.labels if a != label)
-    col = {b if a == label else a: lk for (a, b), lk in link.linking.items() if label in (a, b)}
-    coeffs = tuple(
-        c - eps * col.get(a, 0) ** 2
-        for a, c in zip(link.labels, link.coefficients) if a != label
-    )
+    col = {}
     linking = {}
-    for i, a in enumerate(rest):
-        for b in rest[i + 1:]:
-            lk = link.linking.get(_pair(a, b), 0) - eps * col.get(a, 0) * col.get(b, 0)
+    for (a, b), lk in link.linking.items():
+        if a == label:
+            col[b] = lk
+        elif b == label:
+            col[a] = lk
+        elif lk:
+            linking[a, b] = lk
+    labels, coeffs = [], []
+    for a, c in zip(link.labels, link.coefficients):
+        if a != label:
+            labels.append(a)
+            coeffs.append(c - eps * col[a] ** 2 if a in col else c)
+    linked = [a for a in labels if a in col]
+    for i, a in enumerate(linked):
+        for b in linked[i + 1:]:
+            pair = _pair(a, b)
+            lk = linking.get(pair, 0) - eps * col[a] * col[b]
             if lk:
-                linking[_pair(a, b)] = lk
-    return FramedLinkPresentation(rest, coeffs, linking)
+                linking[pair] = lk
+            else:
+                linking.pop(pair, None)
+    return FramedLinkPresentation._trusted(tuple(labels), tuple(coeffs), linking)
 
 
 @dataclass(frozen=True)

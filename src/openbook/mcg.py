@@ -2,8 +2,9 @@
 
 A twist word is a finite product of (powers of) Dehn twists about
 catalog curves; the rightmost letter acts first, matching functional
-composition.  Evaluating a word folds its class key (rho o phi, D) as
-the search does (``surface.right_compose``): phi is the automorphism of
+composition.  Evaluating a word folds its class key (rho o phi, D)
+from the same unit twist steps as the search (``surface.twist_step``),
+one D update per entry (see ``_fold``): phi is the automorphism of
 pi_1 induced on the page, built as free-group images only when
 ``MappingClass.exact`` is read, and rho o phi is None when a curve in
 the word has none; the deviation D always exists, and the homology
@@ -26,15 +27,22 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Iterable, Mapping
 
-from .freegroup import FreeAutomorphism, compose
-from .homology import Matrix, append_twist, identity_matrix, j_matrix, mat_add, mat_mul
+from .freegroup import FreeAutomorphism, compose, sanov_substitute
+from .homology import (
+    Matrix,
+    append_twist,
+    identity_matrix,
+    j_matrix,
+    mat_add,
+    mat_mul,
+    nonzero,
+)
 from .surface import (
     RELATION_PATTERNS,
     CurveConfig,
     SurfaceSpec,
     identity_key,
     pair_relation,
-    right_compose,
     twist_step,
 )
 
@@ -173,20 +181,24 @@ class MappingClass:
 
 
 def _fold(start: MappingClass, twists) -> MappingClass:
-    """The class of ``start``'s word followed by ``twists``: one
-    ``surface.right_compose`` per unit of exponent, or, once a curve has
-    no automorphism, one ``homology.append_twist`` of D per twist."""
+    """The class of ``start``'s word followed by ``twists``.
+
+    An entry c^e reads the images of tau_c^+-1 (``surface.twist_step``)
+    through rho |e| times, then updates D once with e p, exact as
+    p . Jh = 0 (``homology.append_twist``); no power of tau_c is built.
+    Once a curve has no automorphism, only D is folded.
+    """
     genus = start.surface.genus
     rho, d = start.key
     for cfg, exp in twists:
         if rho is None or cfg.aut is None:
             rho = None
-            p = cfg.p if exp == 1 else tuple(exp * x for x in cfg.p)
-            d = append_twist(d, cfg.h[:2 * genus], cfg.h, p)
+            d = append_twist(d, nonzero(cfg.h[:2 * genus]), cfg.h, nonzero(cfg.p, exp))
             continue
-        step = twist_step(cfg, genus, 1 if exp > 0 else -1)
+        images, jh, h, p = twist_step(cfg, genus, 1 if exp > 0 else -1)
         for _ in range(abs(exp)):
-            rho, d = right_compose((rho, d), step)
+            rho = sanov_substitute(rho, images)
+        d = append_twist(d, jh, h, p if exp in (1, -1) else nonzero(cfg.p, exp))
     return MappingClass(start.surface, (rho, d), start.twists + twists)
 
 

@@ -61,6 +61,7 @@ from .homology import (
     dot,
     identity_matrix,
     mat_add,
+    nonzero,
     outer,
     zero_matrix,
 )
@@ -268,20 +269,23 @@ def identity_key(rank: int):
     return sanov_basis(rank), zero_matrix(rank)
 
 
+@lru_cache(maxsize=4096)
 def twist_step(cfg: CurveConfig, genus: int, sign: int = 1):
-    """The step (generator images, Jh cut to its 2g genus coordinates, h,
-    sign p) of tau_c^sign, sign = +-1, for ``right_compose``; c needs an
-    exact automorphism."""
-    if sign > 0:
-        return cfg.aut.images, cfg.h[:2 * genus], cfg.h, cfg.p
-    return cfg.aut.inverse_images, cfg.h[:2 * genus], cfg.h, tuple(-x for x in cfg.p)
+    """The step of tau_c^sign, sign = +-1, for ``right_compose``: the
+    generator images, Jh (h cut to its 2g genus coordinates), h, and
+    sign p, with Jh and sign p as ``homology.nonzero`` pairs.  c needs an
+    exact automorphism.  Built once per (curve, genus, sign)."""
+    images = cfg.aut.images if sign > 0 else cfg.aut.inverse_images
+    return images, nonzero(cfg.h[:2 * genus]), cfg.h, nonzero(cfg.p, sign)
 
 
 def right_compose(key, step):
     """Class key (rho o phi o psi, D) from the key (rho o phi, D) of phi and
     the step of psi = tau_c^+-1.  rho is Sanov's faithful representation
     (``freegroup.sanov_basis``), so keys are equal exactly when classes
-    are; D folds by the rank-one update D + (D Jh + h)(+-p)^T."""
+    are: rho o phi o psi reads psi's images through the matrices of
+    rho o phi, and D takes the rank-one update D + (D Jh + h)(+-p)^T
+    (``homology.append_twist``)."""
     rho, d = key
     images, jh, h, p = step
     return sanov_substitute(rho, images), append_twist(d, jh, h, p)

@@ -223,3 +223,37 @@ def test_sanov_is_faithful(u, v):
     )
     key = sanov_substitute(basis, phi.images)
     assert sanov_substitute(key, (u,)) == sanov_substitute(basis, (phi.apply(u),))
+
+
+def _random_sl2(rng):
+    """A product of elementary matrices, so its inverse is (d, -b, -c, a)."""
+    m = (1, 0, 0, 1)
+    for _ in range(rng.randint(0, 6)):
+        k = rng.randint(-3, 3)
+        m = _sl2_mul(m, rng.choice(((1, k, 0, 1), (1, 0, k, 1))))
+    return m
+
+
+def test_sanov_substitute_matches_table_reference():
+    # the letter table and identity start of the substitution, kept here
+    # as the reference for the table-free kernel
+    def reference(key, words):
+        table = {}
+        for k, (a, b, c, d) in enumerate(key, 1):
+            table[k], table[-k] = (a, b, c, d), (d, -b, -c, a)
+        out = []
+        for word in words:
+            m = (1, 0, 0, 1)
+            for letter in word:
+                m = _sl2_mul(m, table[letter])
+            out.append(m)
+        return tuple(out)
+
+    rng = random.Random(1947)
+    for _ in range(RANDOM_ROUNDS):
+        rank = rng.randint(1, 4)
+        key = tuple(_random_sl2(rng) for _ in range(rank))
+        words = [random_letters(rng, rank) for _ in range(rng.randint(0, 4))]
+        words += [(), (-rng.randint(1, rank),), (-1,) + random_letters(rng, rank)]
+        assert sanov_substitute(key, words) == reference(key, words)
+    assert sanov_substitute(sanov_basis(2), ()) == ()

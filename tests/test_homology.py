@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 
 from openbook.homology import (
     AbelianGroup,
+    append_twist,
     cokernel,
     compose_linear,
+    h1_of_open_book,
     identity_matrix,
     invert_linear,
     j_matrix,
@@ -16,12 +19,15 @@ from openbook.homology import (
     mat_inverse_unimodular,
     mat_mul,
     matrix_rank,
+    nonzero,
+    outer,
     smith_normal_form,
     twist_data,
     zero_matrix,
 )
 from openbook.mcg import TwistWord, evaluate
 from openbook.surface import load_builtin
+from openbook.surgery import OpenBook, surgery
 
 RANDOM_ROUNDS = 200
 
@@ -254,3 +260,55 @@ def test_compose_linear_empty():
     assert compose_linear([d, zero_matrix(3)], 1) == d
     with pytest.raises(ValueError):
         compose_linear([d, zero_matrix(2)], 1)
+
+
+def test_append_twist_is_the_dense_rank_one_update():
+    # D + (D Jh + h)(e p)^T from the sparse pairs of Jh and p, rows with
+    # D_i Jh + h_i = 0 shared; on catalog curves (p . Jh = 0) one update
+    # with e p is |e| unit updates
+    rng = random.Random(1532)
+    for _ in range(RANDOM_ROUNDS):
+        genus, n = rng.randint(0, 2), rng.randint(0, 3)
+        m = 2 * genus + n
+        d = tuple(tuple(rng.choice((0, 0, 1, -1, 3)) for _ in range(m)) for _ in range(m))
+        h = tuple(rng.choice((0, 0, 1, -2)) for _ in range(m))
+        p = tuple(rng.choice((0, 0, 1, -1)) for _ in range(m))
+        jh = h[:2 * genus] + (0,) * n
+        u = [hi + sum(x * y for x, y in zip(row, jh)) for row, hi in zip(d, h)]
+        for e in (1, -1, 2, -2, 5, -5):
+            dense = mat_add(d, outer(u, [e * x for x in p]))
+            out = append_twist(d, nonzero(h[:2 * genus]), h, nonzero(p, e))
+            assert out == dense
+            assert all(row is old for row, old, ui in zip(out, d, u) if not ui)
+    _, catalog = load_builtin("sigma12")
+    s2 = catalog["s2"]
+    start = append_twist(zero_matrix(3), nonzero(s2.h[:2]), s2.h, nonzero(s2.p))
+    for cfg in catalog.values():
+        jh = nonzero(cfg.h[:2])
+        for e in (1, -1, 2, -2, 5, -5):
+            unit = start
+            for _ in range(abs(e)):
+                unit = append_twist(unit, jh, cfg.h, nonzero(cfg.p, 1 if e > 0 else -1))
+            assert append_twist(start, jh, cfg.h, nonzero(cfg.p, e)) == unit
+
+
+def test_h1_of_open_book_is_the_cokernel_of_dense_d():
+    # D composed densely from twist_data, one matrix per entry
+    spec, catalog = load_builtin("sigma11")
+    book = OpenBook.standard(spec, TwistWord.parse(spec, catalog, "a b"))
+    big = surgery(book, "1", Fraction(7, 2), 1)
+    pages = [load_builtin("sigma11"), load_builtin("sigma12"),
+             (big.surface, big.word.catalog)]
+    rng = random.Random(1404)
+    for _ in range(RANDOM_ROUNDS):
+        spec, catalog = rng.choice(pages)
+        names = sorted(catalog)
+        entries = [(rng.choice(names), rng.choice((-4, -2, -1, 1, 3)))
+                   for _ in range(rng.randint(0, 6))]
+        word = TwistWord(spec, catalog, tuple(entries))
+        d = compose_linear(
+            [zero_matrix(spec.rank)]
+            + [twist_data(catalog[n].h, catalog[n].p, spec.genus, e) for n, e in word.entries],
+            spec.genus,
+        )
+        assert h1_of_open_book(OpenBook.standard(spec, word)) == cokernel(d)

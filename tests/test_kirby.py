@@ -182,6 +182,36 @@ def test_blow_down_matches_formula():
         assert 0 not in after.linking.values()
 
 
+def test_blow_down_result_equals_validated_construction():
+    # the trusted result equals what the validating constructor builds from
+    # the blow-down formula over every pair, zero linkings left out
+    rng = random.Random(1590)
+    for _ in range(RANDOM_ROUNDS):
+        labels, coefficients, linking = _random_link(rng)
+        victim = rng.choice(labels)
+        eps = rng.choice((-1, 1))
+        coefficients[labels.index(victim)] = Fraction(eps)
+        link = FramedLinkPresentation(labels, tuple(coefficients), linking)
+        rest = [a for a in labels if a != victim]
+        want_linking = {}
+        for i, a in enumerate(rest):
+            for b in rest[i + 1:]:
+                lk = link.lk(a, b) - eps * link.lk(a, victim) * link.lk(b, victim)
+                if lk:
+                    want_linking[min(a, b), max(a, b)] = lk
+        want = FramedLinkPresentation(
+            tuple(rest),
+            tuple(c - eps * link.lk(a, victim) ** 2
+                  for a, c in zip(labels, coefficients) if a != victim),
+            want_linking,
+        )
+        after = blow_down(link, victim)
+        assert after == want
+        assert after == FramedLinkPresentation(
+            after.labels, after.coefficients, dict(after.linking))
+        assert link.linking == linking
+
+
 def test_blow_down_errors():
     link = FramedLinkPresentation(("1",), (Fraction(3, 2),))
     with pytest.raises(ValueError, match="needs framing \\+1 or -1"):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from openbook import mcg
+from openbook import freegroup, mcg
 from openbook.freegroup import FreeAutomorphism, compose, sanov_basis, sanov_substitute
 from openbook.homology import compose_linear, invert_linear, twist_data, zero_matrix
 from openbook.mcg import (
@@ -22,7 +22,14 @@ from openbook.mcg import (
     invert_class,
     rename_word,
 )
-from openbook.surface import load_builtin, pair_relation, stabilize
+from openbook.surface import (
+    identity_key,
+    load_builtin,
+    pair_relation,
+    right_compose,
+    stabilize,
+    twist_step,
+)
 from openbook.surgery import OpenBook, surgery
 
 RANDOM_ROUNDS = 100
@@ -364,3 +371,41 @@ def test_evaluate_builds_no_automorphism(monkeypatch):
         one.exact
     monkeypatch.undo()
     assert one.exact is one.exact and one.exact == two.exact
+
+
+def test_evaluate_powers_match_unit_words():
+    # an entry c^e folds rho |e| times and D once with e p; the key is the
+    # one the unit word of TwistWord.expanded gives, one twist at a time
+    rng = random.Random(1578)
+    for spec, catalog in _KEY_PAGES:
+        names = sorted(n for n in catalog if catalog[n].aut is not None)
+        for _ in range(RANDOM_ROUNDS // 2):
+            entries = [(rng.choice(names), rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)))
+                       for _ in range(rng.randint(0, 5))]
+            word = TwistWord(spec, catalog, tuple(entries))
+            key = identity_key(spec.rank)
+            for name, sign in word.expanded():
+                key = right_compose(key, twist_step(catalog[name], spec.genus, sign))
+            assert evaluate(word).key == key
+
+
+def test_evaluate_builds_no_power_image(monkeypatch):
+    # a^50 folds fifty unit substitutions, never the image of tau_a^50;
+    # on sigma12, tau_a^50 sends x2 to x2 x1^50 and has D = 50 h p^T
+    def refuse(*args):
+        raise AssertionError("composed automorphisms")
+
+    monkeypatch.setattr(freegroup, "compose", refuse)
+    monkeypatch.setattr(mcg, "compose", refuse)
+    r1, r2, r3 = sanov_basis(3)
+    power = (1, 0, 0, 1)
+    for _ in range(50):
+        power = _sl2(power, r1)
+    key = evaluate(TwistWord.parse(SIGMA12_SPEC, SIGMA12, "a^50")).key
+    assert key == ((r1, _sl2(r2, power), r3), ((0, 50, 0), (0, 0, 0), (0, 0, 0)))
+
+
+def _sl2(x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)

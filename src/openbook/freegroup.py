@@ -281,7 +281,9 @@ class FreeAutomorphism:
     def _trusted(cls, rank: int, images, inverse_images) -> "FreeAutomorphism":
         """Wrap images already known to be reduced and mutually inverse."""
         aut = object.__new__(cls)
-        aut.__dict__.update(rank=rank, images=images, inverse_images=inverse_images)
+        object.__setattr__(aut, "rank", rank)
+        object.__setattr__(aut, "images", images)
+        object.__setattr__(aut, "inverse_images", inverse_images)
         return aut
 
     @classmethod
@@ -302,7 +304,7 @@ class FreeAutomorphism:
 
     @classmethod
     def identity(cls, rank: int) -> "FreeAutomorphism":
-        gens = tuple((k + 1,) for k in range(rank))
+        gens = tuple(zip(range(1, rank + 1)))  # the words (1,), ..., (rank,)
         return cls._trusted(rank, gens, gens)
 
     @classmethod
@@ -327,6 +329,12 @@ class FreeAutomorphism:
         word = reduce_letters(word, rank)
         if any(abs(x) not in moved for x in word):
             raise ValueError("conjugating word uses a generator it does not move")
+        return cls._conjugation(rank, word, moved)
+
+    @classmethod
+    def _conjugation(cls, rank: int, word: Letters, moved: Sequence[int]) -> "FreeAutomorphism":
+        """``conjugation`` by a word already reduced and spelled in
+        ``moved``, unchecked."""
         return cls._deferred(rank, _conjugation_tables, rank, word, moved)
 
     @classmethod

@@ -51,7 +51,9 @@ class FramedLinkPresentation:
     def _trusted(cls, labels, coefficients, linking) -> "FramedLinkPresentation":
         """Wrap fields already known to pass ``__post_init__``."""
         link = object.__new__(cls)
-        link.__dict__.update(labels=labels, coefficients=coefficients, linking=linking)
+        object.__setattr__(link, "labels", labels)
+        object.__setattr__(link, "coefficients", coefficients)
+        object.__setattr__(link, "linking", linking)
         return link
 
     def lk(self, a: str, b: str) -> int:

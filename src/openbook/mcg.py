@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from operator import eq
 from typing import Iterable, Mapping
 
 from .freegroup import FreeAutomorphism, compose, sanov_substitute
@@ -66,6 +67,14 @@ def _normalize(entries: Iterable[tuple[str, int]]) -> Entries:
     return tuple(out)
 
 
+def _check_entries(catalog: Mapping[str, CurveConfig], entries: Entries) -> None:
+    for name, exp in entries:
+        if name not in catalog:
+            raise ValueError(f"unknown curve {name!r} in word")
+        if not isinstance(exp, int):
+            raise ValueError(f"exponent of {name} must be an integer")
+
+
 @dataclass(frozen=True)
 class TwistWord:
     """A normalized word in the twists of a surface catalog."""
@@ -76,12 +85,17 @@ class TwistWord:
 
     def __post_init__(self) -> None:
         entries = _normalize(self.entries)
-        for name, exp in entries:
-            if name not in self.catalog:
-                raise ValueError(f"unknown curve {name!r} in word")
-            if not isinstance(exp, int):
-                raise ValueError(f"exponent of {name} must be an integer")
+        _check_entries(self.catalog, entries)
         object.__setattr__(self, "entries", entries)
+
+    @classmethod
+    def _trusted(cls, surface, catalog, entries: Entries) -> "TwistWord":
+        """Wrap entries already normalised and checked against ``catalog``."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "surface", surface)
+        object.__setattr__(word, "catalog", catalog)
+        object.__setattr__(word, "entries", entries)
+        return word
 
     @classmethod
     def parse(
@@ -126,7 +140,11 @@ class TwistWord:
         return all(e > 0 for _, e in self.entries)
 
     def append(self, name: str, exp: int) -> "TwistWord":
-        return TwistWord(self.surface, self.catalog, self.entries + ((name, exp),))
+        """The word followed by name^exp; only the last entry and the new
+        one are normalised and checked."""
+        tail = _normalize(self.entries[-1:] + ((name, exp),))
+        _check_entries(self.catalog, tail)
+        return TwistWord._trusted(self.surface, self.catalog, self.entries[:-1] + tail)
 
     def __mul__(self, other: "TwistWord") -> "TwistWord":
         if self.surface != other.surface:
@@ -353,6 +371,15 @@ def rename_word(
     catalog: Mapping[str, CurveConfig],
     renames: Mapping[str, str],
 ) -> TwistWord:
-    """Carry a word onto a stabilised surface, applying curve renames."""
+    """Carry a word onto a stabilised surface, applying curve renames.
+
+    The word is normalised again only when a rename makes two neighbours
+    equal, and its names are checked against ``catalog`` in one set test
+    (the exponents are already integers)."""
     entries = tuple((renames.get(n, n), e) for n, e in word.entries)
-    return TwistWord(surface, catalog, entries)
+    names = [n for n, _ in entries]
+    if any(map(eq, names, names[1:])):
+        entries = _normalize(entries)
+    if not set(names).issubset(catalog):
+        _check_entries(catalog, entries)  # raises unless those names cancelled
+    return TwistWord._trusted(surface, catalog, entries)

@@ -28,7 +28,11 @@ Conventions, fixed once and locked by the homology outputs downstream:
   each is an automorphism whenever the input twist is, and a carried
   twist keeps only its first page's automorphism and the steps (t, z_K)
   since; automorphisms are checked where they enter (the public
-  constructor, ``from_images``, JSON).
+  constructor, ``from_images``, JSON).  Whole curves are carried the same
+  way: a stabilised page's catalog is a read-only ``CarriedCatalog``, in
+  which a stabilisation writes only the curves it changes and every
+  other curve is carried through the steps since its last build when it
+  is first read; ``dict(catalog)`` gives a mutable copy.
 
 The builtin catalogs cover the one- and two-boundary genus-1 pages.  The
 two partition-curve automorphisms of the two-boundary page (s2, s3) and
@@ -40,7 +44,7 @@ and re-checked by validate_catalog.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, Sequence
@@ -92,6 +96,22 @@ class SurfaceSpec:
         if any(exponent_sums([x for w in words for x in w], m)):
             raise ValueError("boundary words do not abelianise to zero")
 
+    def _with_hole(self, new_b1: Letters) -> "SurfaceSpec":
+        """This page with one more hole: boundary words new_b1, b_2, ...,
+        b_n and (t,), t the new generator, where new_b1 is reduced and is
+        b_1 with letters t inserted.  Only the exponent sum of t can break
+        ``__post_init__``'s rule, so only it is checked."""
+        t, n = self.rank + 1, self.boundary + 1
+        if new_b1.count(t) - new_b1.count(-t) != -1:
+            raise ValueError("boundary words do not abelianise to zero")
+        spec = object.__new__(SurfaceSpec)
+        object.__setattr__(spec, "genus", self.genus)
+        object.__setattr__(spec, "boundary", n)
+        object.__setattr__(spec, "gen_labels", self.gen_labels + (f"z{n}",))
+        object.__setattr__(spec, "rel_labels", self.rel_labels + (f"A{n}",))
+        object.__setattr__(spec, "boundary_words", (new_b1,) + self.boundary_words[1:] + ((t,),))
+        return spec
+
     @property
     def rank(self) -> int:
         return 2 * self.genus + self.boundary - 1
@@ -135,20 +155,37 @@ class CurveConfig:
     p: Vector
     boundary_parallel_to: int | None = None
     aut: FreeAutomorphism | None = None
+    # curves key the twist_step and pair_relation caches: the hash of
+    # (h, q, p), computed once, skipping the automorphism
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (len(self.h) == len(self.q) == len(self.p)):
             raise ValueError(f"curve {self.name}: h, q, p lengths differ")
         if self.aut is not None and self.aut.rank != len(self.h):
             raise ValueError(f"curve {self.name}: automorphism rank mismatch")
+        object.__setattr__(self, "_hash", hash((self.h, self.q, self.p)))
+
+    @classmethod
+    def _trusted(cls, name, h, q, p, boundary_parallel_to, aut) -> "CurveConfig":
+        """Wrap fields already known to pass ``__post_init__``, set in
+        field order as ``__init__`` sets them."""
+        cfg = object.__new__(cls)
+        object.__setattr__(cfg, "name", name)
+        object.__setattr__(cfg, "h", h)
+        object.__setattr__(cfg, "q", q)
+        object.__setattr__(cfg, "p", p)
+        object.__setattr__(cfg, "boundary_parallel_to", boundary_parallel_to)
+        object.__setattr__(cfg, "aut", aut)
+        object.__setattr__(cfg, "_hash", hash((h, q, p)))
+        return cfg
 
     @property
     def rank(self) -> int:
         return len(self.h)
 
     def __hash__(self) -> int:
-        # curves key the pair_relation cache: skip hashing the automorphism
-        return hash((self.h, self.q, self.p))
+        return self._hash
 
 
 Catalog = dict[str, CurveConfig]
@@ -161,11 +198,11 @@ def _boundary_curve(spec: SurfaceSpec, i: int, ident=None) -> CurveConfig:
     m, g2 = spec.rank, 2 * spec.genus
     if i == 1:
         h = (0,) * g2 + (-1,) * (spec.boundary - 1)
-        aut = FreeAutomorphism.inner(m, spec.boundary_words[0])
+        aut = FreeAutomorphism._conjugation(m, spec.boundary_words[0], range(1, m + 1))
     else:
-        h = tuple(1 if j == g2 + i - 2 else 0 for j in range(m))
+        h = (0,) * (g2 + i - 2) + (1,) + (0,) * (m - g2 - i + 1)
         aut = ident or FreeAutomorphism.identity(m)
-    return CurveConfig(f"d{i}", h, (0,) * m, h, i, aut)
+    return CurveConfig._trusted(f"d{i}", h, (0,) * m, h, i, aut)
 
 
 @lru_cache(maxsize=None)
@@ -556,11 +593,12 @@ class StabResult:
     boundary-parallel status the new handle destroyed); ``stab_curve``
     names the boundary-parallel curve whose positive twist the
     stabilisation appends; the stabilised binding now sits at boundary
-    index ``k_index``, parallel to d<k_index>.
+    index ``k_index``, parallel to d<k_index>.  ``catalog`` is a
+    read-only ``CarriedCatalog``.
     """
 
     surface: SurfaceSpec
-    catalog: Catalog
+    catalog: Mapping[str, CurveConfig]
     renames: dict[str, str]
     stab_curve: str
     k_index: int
@@ -587,13 +625,118 @@ def _transport_tables(root: FreeAutomorphism, steps):
     return tables
 
 
-def _transported_aut(aut: FreeAutomorphism, t: int, zk: int | None) -> FreeAutomorphism:
-    """S o (aut * fix t) o S^-1 for S: z_K -> z_K t, t the new last
+def _transported_aut(aut: FreeAutomorphism, steps) -> FreeAutomorphism:
+    """``aut`` carried through ``steps`` (t, z_K or None), each
+    S o (aut * fix t) o S^-1 for S: z_K -> z_K t, t the new last
     generator, or the identity (zk None); built trusted, on first read, as
-    a conjugate of an automorphism is one.  An unread one gains a step."""
+    a conjugate of an automorphism is one.  Unread tables gain the steps."""
     build, args = aut.__dict__.get("_build", (None, None))
-    root, steps = args if build is _transport_tables else (aut, ())
-    return FreeAutomorphism._deferred(t, _transport_tables, root, steps + ((t, zk),))
+    root, done = args if build is _transport_tables else (aut, ())
+    return FreeAutomorphism._deferred(steps[-1][0], _transport_tables, root, done + steps)
+
+
+def _carry(name: str, cfg: CurveConfig, steps) -> CurveConfig:
+    """``cfg`` carried in one pass through the stabilisations ``steps``,
+    each given by its z_K (None for K = 1) and adding the generator t one
+    past the rank: h and p gain the z_K / A_K weight (0 for K = 1), q
+    gains 0, and the twist is transported, zero-extended for a
+    boundary-parallel curve, until an interior curve meets z_K, which
+    drops it (see ``stabilize``)."""
+    h, p = list(cfg.h), list(cfg.p)
+    bpt, aut = cfg.boundary_parallel_to, cfg.aut
+    moves = []
+    for t, zk in enumerate(steps, cfg.rank + 1):
+        hz, pz = (0, 0) if zk is None else (h[zk - 1], p[zk - 1])
+        h.append(hz)
+        p.append(pz)
+        if bpt is not None:
+            zk = None
+        elif hz or pz:
+            aut = None
+        moves.append((t, zk))
+    if aut is not None:
+        aut = _transported_aut(aut, tuple(moves))
+    return CurveConfig._trusted(name, tuple(h), cfg.q + (0,) * len(steps), tuple(p), bpt, aut)
+
+
+class CarriedCatalog(Mapping):
+    """The read-only catalog of a stabilised page, whose curves are built
+    when first read.
+
+    It holds one record per name, in catalog order, and the
+    stabilisations since the last plain catalog: that page's rank, then
+    z_K or None per step.  A record is a curve as last built: of rank r,
+    it lives on the page r - rank steps along.  Its boundary index is
+    current, as ``stabilize`` rebuilds every curve whose index changes.
+    Reading it carries it through the later steps once (``_carry``) and
+    stores the result as the record, so each curve is built once per
+    page.  ``dict(catalog)`` gives a mutable copy.
+    """
+
+    __slots__ = ("_records", "_rank", "_steps")
+
+    def __init__(self, records, rank, steps=()) -> None:
+        self._records, self._rank, self._steps = records, rank, steps
+
+    @classmethod
+    def of(cls, catalog: Mapping[str, CurveConfig], rank: int) -> "CarriedCatalog":
+        """``catalog`` itself if carried, else a copy of its curves, which
+        must have rank ``rank``, with no steps yet."""
+        if isinstance(catalog, cls):
+            return catalog
+        for name, cfg in catalog.items():
+            if cfg.rank != rank:
+                raise ValueError(f"curve {name}: vectors have length {cfg.rank}, want {rank}")
+        return cls(dict(catalog), rank)
+
+    def parallel_to(self, i: int) -> list[str]:
+        """The names of the curves parallel to boundary component i,
+        read from the records without building any curve."""
+        return _parallel_to(self._records, i)
+
+    def stabilised(self, zk, renames, rebuilt, added) -> "CarriedCatalog":
+        """The catalog one stabilisation (z_K or None) on: names renamed
+        in place by ``renames``, the records of the curves ``rebuilt``
+        replaced, and the curves ``added`` appended, all of these already
+        on the new page.  Raises on a name collision."""
+        names = list(self._records)
+        for old, new in renames.items():
+            names[names.index(old)] = new
+        records = dict(zip(names, self._records.values()))
+        if len(records) < len(names):
+            raise _collision(next(iter(renames.values())))
+        for cfg in rebuilt:
+            records[cfg.name] = cfg
+        for cfg in added:
+            if cfg.name in records:
+                raise _collision(cfg.name)
+            records[cfg.name] = cfg
+        return CarriedCatalog(records, self._rank, self._steps + (zk,))
+
+    def __getitem__(self, name: str) -> CurveConfig:
+        cfg = self._records[name]
+        todo = self._steps[cfg.rank - self._rank:]
+        if todo:
+            cfg = self._records[name] = _carry(name, cfg, todo)
+        return cfg
+
+    def __contains__(self, name) -> bool:
+        return name in self._records
+
+    def __iter__(self):
+        return iter(self._records)
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+
+def _parallel_to(curves: Mapping[str, CurveConfig], i: int) -> list[str]:
+    """The names of the curves parallel to boundary component i."""
+    return [name for name, cfg in curves.items() if cfg.boundary_parallel_to == i]
+
+
+def _collision(name: str) -> ValueError:
+    return ValueError(f"curve name collision during stabilisation: {name!r}")
 
 
 def stabilize(
@@ -625,7 +768,17 @@ def stabilize(
     d<K> and d<n+1> parallel to the two new holes come last.  Every
     derived automorphism is built trusted, on first read, not re-checked:
     a conjugate or zero-extension of an automorphism is one, and so are
-    the conjugations and inner maps (see ``FreeAutomorphism.conjugation``).
+    the conjugations and inner maps (see ``FreeAutomorphism.conjugation``),
+    whose words are reduced and in range by construction.  So are the new
+    boundary words: the new ``SurfaceSpec`` re-checks only the exponent
+    sum of t (``SurfaceSpec._with_hole``).
+
+    The new catalog is a read-only ``CarriedCatalog``: only the curves
+    parallel to K and to 1 and the two new boundary curves are built
+    here; every other curve is carried through the stabilisations since
+    its last build when it is first read.  ``dict(result.catalog)`` gives
+    a mutable copy.  The curves of a plain input catalog must have the
+    page's rank.
     """
     g, n, m = surface.genus, surface.boundary, surface.rank
     if not 1 <= K <= n:
@@ -635,64 +788,47 @@ def stabilize(
     if K == 1 and (surface, catalog) == _sigma11():
         return StabResult(*load_builtin("sigma12"), {"d": "g"}, "d1", 2)
     new_n, t = n + 1, m + 1
-    ident = FreeAutomorphism.identity(t)
+    b1 = surface.boundary_words[0]
     if K == 1:
         zk = None
-        far_word, far_side = surface.boundary_words[0], range(1, t)
-        new_b1 = concat(far_word, (-t,))
+        far_word, far_side = b1, range(1, t)
+        new_b1 = concat(b1, (-t,))
         k_index, stab_index = new_n, 1
     else:
         zk = 2 * g + K - 1  # the generator z_K
         far_word = far_side = (zk, t)
-        new_b1 = _split_zk(surface.boundary_words[:1], zk, t)[0]
+        new_b1 = _split_zk([b1], zk, t)[0]
         k_index, stab_index = K, new_n
-    new_surface = SurfaceSpec(
-        g, new_n,
-        surface.gen_labels + (f"z{new_n}",),
-        surface.rel_labels + (f"A{new_n}",),
-        (new_b1,) + surface.boundary_words[1:] + ((t,),),
-    )
+    new_surface = surface._with_hole(new_b1)
+    catalog = CarriedCatalog.of(catalog, m)
 
     def extend(v: Vector) -> Vector:
         return (*v, 0 if zk is None else v[zk - 1])
 
-    def derived_aut(cfg: CurveConfig) -> FreeAutomorphism | None:
-        bpt = cfg.boundary_parallel_to
-        if cfg.aut is None:
-            return None
-        if bpt == K:
-            return FreeAutomorphism.conjugation(t, far_word, far_side)
-        if bpt == 1:
-            return FreeAutomorphism.inner(t, new_b1)
-        if bpt is not None:
-            return _transported_aut(cfg.aut, t, None)
-        if zk is not None and (cfg.h[zk - 1] or cfg.p[zk - 1]):
-            return None
-        return _transported_aut(cfg.aut, t, zk)
-
-    new_catalog: Catalog = {}
-    renames: dict[str, str] = {}
-
-    def insert(cfg: CurveConfig) -> None:
-        if cfg.name in new_catalog:
-            raise ValueError(f"curve name collision during stabilisation: {cfg.name!r}")
-        new_catalog[cfg.name] = cfg
+    def rebuilt(name: str, new_name: str, bpt: int | None, aut: FreeAutomorphism) -> CurveConfig:
+        """An old curve on the new page, with its twist replaced."""
+        cfg = catalog[name]
+        return CurveConfig._trusted(
+            new_name, extend(cfg.h), cfg.q + (0,), extend(cfg.p), bpt,
+            None if cfg.aut is None else aut,
+        )
 
     rename_target = "g" if new_n == 2 else f"g{new_n}"
-    for name, cfg in catalog.items():
-        bpt = cfg.boundary_parallel_to
-        if bpt == K:
-            renames[name] = name = rename_target
-            bpt = None
-        insert(CurveConfig(
-            name, extend(cfg.h), (*cfg.q, 0), extend(cfg.p), bpt, derived_aut(cfg)
-        ))
-    insert(_boundary_curve(new_surface, K, ident))
-    insert(_boundary_curve(new_surface, new_n, ident))
-
+    renames = dict.fromkeys(catalog.parallel_to(K), rename_target)
+    rebuilt_curves = [
+        rebuilt(name, rename_target, None, FreeAutomorphism._conjugation(t, far_word, far_side))
+        for name in renames
+    ]
+    if K > 1:
+        rebuilt_curves += [
+            rebuilt(name, name, 1, FreeAutomorphism._conjugation(t, new_b1, range(1, t + 1)))
+            for name in catalog.parallel_to(1)
+        ]
+    ident = FreeAutomorphism.identity(t)
+    added = [_boundary_curve(new_surface, i, ident) for i in (K, new_n)]
     return StabResult(
         surface=new_surface,
-        catalog=new_catalog,
+        catalog=catalog.stabilised(zk, renames, rebuilt_curves, added),
         renames=renames,
         stab_curve=f"d{stab_index}",
         k_index=k_index,
@@ -703,8 +839,12 @@ def boundary_parallel_curve(
     catalog: Mapping[str, CurveConfig], position: int
 ) -> str:
     """The unique catalog curve parallel to boundary component
-    ``position``; raises if there is none or more than one."""
-    names = [n for n, c in catalog.items() if c.boundary_parallel_to == position]
+    ``position``; raises if there is none or more than one.  A
+    ``CarriedCatalog`` answers from its records, building no curve."""
+    if isinstance(catalog, CarriedCatalog):
+        names = catalog.parallel_to(position)
+    else:
+        names = _parallel_to(catalog, position)
     if len(names) != 1:
         raise ValueError(
             f"need exactly one boundary-parallel curve for component {position}"

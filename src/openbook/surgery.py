@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, filterfalse
+from typing import Iterator
 
 from .mcg import TwistWord, rename_word
 from .surface import SurfaceSpec, boundary_parallel_curve, stabilize
@@ -107,24 +109,23 @@ class OpenBook:
             raise ValueError(f"no binding labelled {label!r}") from None
 
 
-def _fresh_label(bindings: tuple[str, ...]) -> str:
-    i = 1
-    while str(i) in bindings:
-        i += 1
-    return str(i)
+def _fresh_labels(bindings: tuple[str, ...]) -> Iterator[str]:
+    """The labels str(i), i >= 1, not in ``bindings``, least first.  A
+    stabilisation adds the label it takes, so the next one is again the
+    least free positive integer; each costs amortised O(1)."""
+    return filterfalse(set(bindings).__contains__, map(str, count(1)))
 
 
 def _stabilize_book(
-    ob: OpenBook, position: int
+    ob: OpenBook, position: int, fresh: str
 ) -> tuple[OpenBook, int]:
     """One positive stabilisation at a boundary position.  Appends the
-    stabilisation twist to the monodromy and rethreads binding labels;
-    returns the new book and the position where the surgered binding
-    continues."""
+    stabilisation twist to the monodromy and rethreads binding labels,
+    labelling the fresh binding ``fresh``; returns the new book and the
+    position where the surgered binding continues."""
     res = stabilize(ob.surface, ob.word.catalog, position)
     word = rename_word(ob.word, res.surface, res.catalog, res.renames)
     word = word.append(res.stab_curve, 1)
-    fresh = _fresh_label(ob.bindings)
     old = ob.bindings
     if position == 1:
         # the old first binding continues at the far end; the fresh
@@ -144,9 +145,10 @@ def admissible_surgery(ob: OpenBook, binding: str, r: Fraction) -> OpenBook:
             "positive coefficients go through inadmissible_surgery"
         )
     position = ob.binding_index(binding)
+    fresh = _fresh_labels(ob.bindings)
     for entry in neg_continued_fraction(r).display_entries():
         for _ in range(abs(entry + 2)):
-            ob, position = _stabilize_book(ob, position)
+            ob, position = _stabilize_book(ob, position, next(fresh))
         curve = boundary_parallel_curve(ob.word.catalog, position)
         ob = OpenBook(ob.surface, ob.word.append(curve, 1), ob.bindings)
     return ob

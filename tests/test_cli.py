@@ -429,7 +429,9 @@ def _mutate(obj, data):
             curves[i][key] = data.draw(_JSON_VALUES | st.sampled_from(["a", "d1", 1, 2, 9]))
     elif kind == "letter":
         # a letter of a boundary word or of an automorphism image
-        words = [w for w in obj.get("boundary_words", []) if isinstance(w, list)]
+        # an earlier edit may have replaced boundary_words by a non-list
+        bwords = obj.get("boundary_words")
+        words = [w for w in bwords if isinstance(w, list)] if isinstance(bwords, list) else []
         for curve in curves:
             aut = curve.get("aut") if isinstance(curve, dict) else None
             if isinstance(aut, dict):

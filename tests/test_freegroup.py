@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -132,6 +133,27 @@ def test_trusted_conjugation_rebuilds():
         assert inner == FreeAutomorphism(rank, inner.images, inner.inverse_images)
     with pytest.raises(ValueError, match="does not move"):
         FreeAutomorphism.conjugation(3, (1, 3), (1, 2))
+
+
+def test_trusted_automorphism_is_as_compact_as_a_validated_one():
+    # the trusted constructor sets the fields in order, as __init__ does,
+    # so its instance dict shares keys; a dict filled by update did not.
+    # Rank 0 keeps the validated build from allocating new tables
+    def bytes_per_instance(make, count=2000):
+        tracemalloc.start()
+        try:
+            kept = [make() for _ in range(count)]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == count
+        return held / count
+
+    trusted = bytes_per_instance(lambda: FreeAutomorphism._trusted(0, (), ()))
+    assert trusted <= bytes_per_instance(lambda: FreeAutomorphism(0, (), ())) + 8
+    gens = ((1,), (2,))
+    assert FreeAutomorphism._trusted(2, gens, gens) == FreeAutomorphism.identity(2)
+    assert FreeAutomorphism.identity(3).images == ((1,), (2,), (3,))
 
 
 def test_compose_order():

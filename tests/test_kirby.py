@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -237,3 +238,28 @@ def test_rational_to_chain():
             assert group.order == abs(r.numerator)
             # the chain surgery and the single rational component agree
             assert group == h1_of_link(unknot(r))
+
+
+def _bytes_per_instance(make, count=2000):
+    """Traced bytes held per object built by ``make``."""
+    tracemalloc.start()
+    try:
+        kept = [make() for _ in range(count)]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == count
+    return held / count
+
+
+def test_trusted_link_is_as_compact_as_a_validated_one():
+    # the trusted constructor sets the fields in order, as __init__ does,
+    # so its instance dict shares keys; a dict filled by update did not
+    labels, coefficients, linking = ("a", "b"), (Fraction(1), Fraction(2)), {("a", "b"): 1}
+    trusted = _bytes_per_instance(
+        lambda: FramedLinkPresentation._trusted(labels, coefficients, linking))
+    validated = _bytes_per_instance(
+        lambda: FramedLinkPresentation(labels, coefficients, linking))
+    assert trusted <= validated + 8
+    link = FramedLinkPresentation._trusted(labels, coefficients, linking)
+    assert link == FramedLinkPresentation(labels, coefficients, linking)

@@ -57,6 +57,34 @@ def test_parse_render_normalize():
     assert TwistWord.parse(spec, catalog, "a b d1").is_positive()
 
 
+def _outcome(build):
+    """The entries a word construction gives, or its error message."""
+    try:
+        return build().entries
+    except ValueError as e:
+        return str(e)
+
+
+def test_append_and_rename_match_the_checked_constructor():
+    # append normalises and checks only what changed and rename_word checks
+    # names in one set test; they agree with building the whole word
+    # through the checked constructor, errors included, also when the
+    # target catalog lacks a name the renames leave alone
+    spec, catalog = load_builtin("sigma12")
+    names = sorted(catalog) + ["zz"]
+    rng = random.Random(16)
+    for _ in range(300):
+        word = random_word(rng, spec, catalog, rng.randint(0, 4), ["a", "b", "d1"])
+        name, exp = rng.choice(names), rng.choice((-2, -1, 0, 1, 2, 1.5))
+        assert _outcome(lambda: word.append(name, exp)) == _outcome(
+            lambda: TwistWord(spec, catalog, word.entries + ((name, exp),)))
+        renames = dict(zip(rng.sample(["a", "b", "d1"], 2), rng.choices(names, k=2)))
+        missing = rng.choice(names)
+        target = {n: c for n, c in catalog.items() if n != missing}
+        assert _outcome(lambda: rename_word(word, spec, target, renames)) == _outcome(
+            lambda: TwistWord(spec, target, tuple((renames.get(n, n), e) for n, e in word.entries)))
+
+
 def test_parse_rejects_garbage():
     spec, catalog = load_builtin("sigma11")
     for text in ("a^", "2a", "a^x", "a^1.5"):
@@ -253,6 +281,10 @@ def test_rename_word():
     assert moved.surface == result.surface
     with pytest.raises(ValueError):
         rename_word(word, result.surface, result.catalog, {"d": "nope"})
+    # a name the renames leave alone must be in the new catalog too
+    lacking = {n: c for n, c in result.catalog.items() if n != "a"}
+    with pytest.raises(ValueError, match="unknown curve 'a'"):
+        rename_word(word, result.surface, lacking, result.renames)
 
 
 SIGMA12_SPEC, SIGMA12 = load_builtin("sigma12")

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -406,6 +407,9 @@ def test_stabilize_errors():
     collide["d3"] = dataclasses.replace(catalog["e"], name="d3")
     with pytest.raises(ValueError, match="collision"):
         stabilize(spec, collide, 2)
+    short = dict(catalog, c=CurveConfig("c", (1, 0), (0, 1), (0, 1)))
+    with pytest.raises(ValueError, match="curve c: vectors have length 2, want 3"):
+        stabilize(spec, short, 1)
 
 
 def _sigma13():
@@ -477,3 +481,179 @@ def test_relations_conserve_weights():
                     assert moved == w + (w[K - 1],)
             spec, catalog = result.surface, result.catalog
     assert braids > 100
+
+
+def _eager_stabilize(spec, catalog, K):
+    """The stabilisation rule rebuilding every curve on every page, as
+    ``stabilize`` did before catalogs were carried: the reference for
+    ``CarriedCatalog``.  Returns the surface, a plain catalog, the renames,
+    the stabilisation curve and the binding's new index."""
+    g, n, m = spec.genus, spec.boundary, spec.rank
+    new_n, t = n + 1, m + 1
+    ident = FreeAutomorphism.identity(t)
+    if K == 1:
+        zk = None
+        far_word, far_side = spec.boundary_words[0], range(1, t)
+        new_b1 = spec.boundary_words[0] + (-t,)
+        k_index, stab_index = new_n, 1
+    else:
+        zk = 2 * g + K - 1
+        far_word = far_side = (zk, t)
+        new_b1 = tuple(y for x in spec.boundary_words[0] for y in {zk: (zk, t), -zk: (-t, -zk)}.get(x, (x,)))
+        k_index, stab_index = K, new_n
+    new_spec = SurfaceSpec(
+        g, new_n, spec.gen_labels + (f"z{new_n}",), spec.rel_labels + (f"A{new_n}",),
+        (new_b1,) + spec.boundary_words[1:] + ((t,),),
+    )
+
+    def extend(v):
+        return (*v, 0 if zk is None else v[zk - 1])
+
+    def derived_aut(cfg):
+        bpt = cfg.boundary_parallel_to
+        if cfg.aut is None:
+            return None
+        if bpt == K:
+            return FreeAutomorphism.conjugation(t, far_word, far_side)
+        if bpt == 1:
+            return FreeAutomorphism.inner(t, new_b1)
+        if bpt is not None:
+            return surface._transported_aut(cfg.aut, ((t, None),))
+        if zk is not None and (cfg.h[zk - 1] or cfg.p[zk - 1]):
+            return None
+        return surface._transported_aut(cfg.aut, ((t, zk),))
+
+    new_catalog, renames = {}, {}
+
+    def insert(cfg):
+        if cfg.name in new_catalog:
+            raise ValueError(f"curve name collision during stabilisation: {cfg.name!r}")
+        new_catalog[cfg.name] = cfg
+
+    target = "g" if new_n == 2 else f"g{new_n}"
+    for name, cfg in catalog.items():
+        bpt = cfg.boundary_parallel_to
+        if bpt == K:
+            renames[name] = name = target
+            bpt = None
+        insert(CurveConfig(name, extend(cfg.h), (*cfg.q, 0), extend(cfg.p), bpt, derived_aut(cfg)))
+    insert(surface._boundary_curve(new_spec, K, ident))
+    insert(surface._boundary_curve(new_spec, new_n, ident))
+    return new_spec, new_catalog, renames, f"d{stab_index}", k_index
+
+
+def _json_page(rng):
+    """sigma12 through JSON, with some automorphisms dropped and extra
+    curves: copies of catalog curves under other names, some of which
+    (g3, d4, g5) the chain will create, so stabilising may collide, and
+    v, a copy of g whose relative pairing alone meets z_2."""
+    spec, catalog = load_builtin("sigma12")
+    obj = json.loads(catalog_to_json(spec, catalog))
+    v = dict(obj["curves"][2], name="v", p=[0, 0, 1])
+    for entry in obj["curves"]:
+        if rng.random() < 0.25:
+            entry.pop("aut", None)
+    for name in rng.sample(["c", "w", "g3", "d4", "g5", "v"], rng.randint(1, 3)):
+        extra = v if name == "v" else dict(rng.choice(obj["curves"]), name=name)
+        if name != "v" and rng.random() < 0.5:
+            extra.pop("aut", None)
+        obj["curves"].append(extra)
+    return catalog_from_json(json.dumps(obj))
+
+
+def test_carried_catalogs_match_eager_stabilisation():
+    # seeded chains of up to 12 stabilisations, carried and eager side by
+    # side: same pages, names, renames, boundary-parallel answers and
+    # errors; curves read at some pages and not at others, so records are
+    # carried from every depth; the last pages serialise byte for byte
+    rng = random.Random(16)
+    sigma11, sigma12 = load_builtin("sigma11"), load_builtin("sigma12")
+    extra11 = dict(sigma11[1], c=dataclasses.replace(sigma11[1]["a"], name="c"))
+    errors = compared = 0
+    for chain in range(60):
+        spec, catalog = [
+            sigma12, (sigma11[0], extra11), _sigma13(), _json_page(rng),
+        ][chain % 4]
+        ref = dict(catalog)
+        for _ in range(rng.randint(1, 12)):
+            K = rng.randint(1, spec.boundary)
+            try:
+                want = _eager_stabilize(spec, ref, K)
+            except ValueError as e:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+                    stabilize(spec, catalog, K)
+                errors += 1
+                break
+            result = stabilize(spec, catalog, K)
+            assert result.surface == want[0]
+            assert list(result.catalog) == list(want[1])
+            assert len(result.catalog) == len(want[1])
+            assert (result.renames, result.stab_curve, result.k_index) == want[2:]
+            spec, catalog, ref = result.surface, result.catalog, want[1]
+            for i in range(1, spec.boundary + 2):
+                try:
+                    expected = boundary_parallel_curve(ref, i)
+                except ValueError:
+                    with pytest.raises(ValueError, match="exactly one"):
+                        boundary_parallel_curve(catalog, i)
+                else:
+                    assert boundary_parallel_curve(catalog, i) == expected
+            for name in rng.sample(list(ref), rng.randint(0, len(ref))):
+                assert name in catalog and catalog[name] == ref[name], name
+                assert hash(catalog[name]) == hash(ref[name])
+                compared += 1
+        assert catalog_to_json(spec, catalog) == catalog_to_json(spec, ref)
+        assert dict(catalog) == ref and catalog == ref
+    assert errors > 5 and compared > 500
+
+
+def test_stabilised_catalogs_are_read_only():
+    spec, catalog = load_builtin("sigma12")
+    carried = stabilize(spec, catalog, 2).catalog
+    with pytest.raises(TypeError):
+        carried["x"] = catalog["a"]
+    copy = dict(carried)
+    copy["x"] = catalog["a"]
+    assert "x" in copy and "x" not in carried and "zz" not in carried
+    assert carried.get("zz") is None and carried.get("a") == copy["a"]
+
+
+def test_stabilisation_chain_builds_curves_only_when_read(monkeypatch):
+    # 100 stabilisations of sigma12 build a bounded number of curves each:
+    # the curves parallel to K and to 1 and the two new boundary curves;
+    # every other curve is built when the final catalog is read, once
+    built = []
+    trusted = CurveConfig._trusted.__func__
+    validated = CurveConfig.__post_init__
+    monkeypatch.setattr(CurveConfig, "_trusted", classmethod(
+        lambda cls, name, *rest: built.append(name) or trusted(cls, name, *rest)))
+    monkeypatch.setattr(CurveConfig, "__post_init__", lambda self: built.append(self.name) or validated(self))
+    rng = random.Random(100)
+    spec, catalog = load_builtin("sigma12")
+    for step in range(100):
+        result = stabilize(spec, catalog, rng.randint(1, spec.boundary))
+        spec, catalog = result.surface, result.catalog
+        boundary_parallel_curve(catalog, result.k_index)
+    assert len(built) <= 6 * 100
+    assert len(catalog) == 9 + 2 * 100 and spec.boundary == 102
+    built.clear()
+    assert dict(catalog) == dict(catalog)
+    assert len(built) <= len(catalog)
+    built.clear()
+    for name in catalog:
+        catalog[name]
+    assert built == []
+
+
+def test_curve_hash_is_computed_once():
+    spec, catalog = load_builtin("sigma12")
+    a = catalog["a"]
+    assert hash(a) == hash((a.h, a.q, a.p))
+    assert "_hash" not in repr(a)
+    moved = dataclasses.replace(a, h=(2, 0, 0), q=(0, 2, 0), p=(0, 2, 0))
+    assert hash(moved) == hash(((2, 0, 0), (0, 2, 0), (0, 2, 0)))
+    assert dataclasses.replace(a, name="c") != a
+    assert dataclasses.replace(a, name="c") == dataclasses.replace(catalog["e"], name="c")
+    trusted = CurveConfig._trusted(a.name, a.h, a.q, a.p, None, a.aut)
+    assert trusted == a and hash(trusted) == hash(a)
+    assert list(vars(trusted)) == list(vars(a))

@@ -1,3 +1,5 @@
+import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -5,9 +7,10 @@ import pytest
 
 from openbook.homology import h1_of_open_book
 from openbook.mcg import TwistWord, equal_classes, evaluate
-from openbook.surface import load_builtin
+from openbook.surface import catalog_to_json, load_builtin
 from openbook.surgery import (
     OpenBook,
+    _fresh_labels,
     admissible_surgery,
     default_n,
     inadmissible_surgery,
@@ -185,3 +188,54 @@ def test_surgery_keeps_page_class_away_from_binding():
     # x, y images of the stabilised class abelianise like the old ones
     for row_new, row_old in zip(cls.M[:2], old.M):
         assert row_new[:2] == row_old
+
+
+def test_surgery_digest_is_pinned():
+    # SHA-256 over the page, word, bindings and H1 of every surgery on the
+    # trefoil book with |p| < 30, q < 6, errors included; pinned from the
+    # eager stabilisation that rebuilt every curve of every page
+    book = trefoil_book()
+    digest = hashlib.sha256()
+    for q in range(1, 6):
+        for p in range(-29, 30):
+            if math.gcd(p, q) != 1:
+                continue
+            r = Fraction(p, q)
+            try:
+                ob = surgery(book, "1", r)
+                text = "\n".join([
+                    catalog_to_json(ob.surface, ob.word.catalog),
+                    ob.word.render(),
+                    " ".join(ob.bindings),
+                    str(h1_of_open_book(ob)),
+                ])
+            except ValueError as e:
+                text = f"error: {e}"
+            digest.update(f"{r}\n{text}\n".encode())
+    assert digest.hexdigest() == "70dae8b9c5d1c3643c6112d046c22003f7c505fd763262c2ca937432aeff9a21"
+
+
+def _least_free_labels(bindings, k):
+    """k fresh labels, each the least positive integer not yet a label."""
+    taken, out = list(bindings), []
+    for _ in range(k):
+        i = 1
+        while str(i) in taken:
+            i += 1
+        taken.append(str(i))
+        out.append(str(i))
+    return out
+
+
+def test_fresh_labels_are_least_free_integers():
+    rng = random.Random(5)
+    pool = ["1", "2", "3", "5", "8", "01", "0", "-1", "x", "K", "10", "12"]
+    for _ in range(200):
+        bindings = tuple(rng.sample(pool, rng.randint(0, len(pool))))
+        fresh = _fresh_labels(bindings)
+        assert [next(fresh) for _ in range(15)] == _least_free_labels(bindings, 15)
+    # on a book with other labels: the binding at position 2, then at 1
+    spec, catalog = load_builtin("sigma12")
+    book = OpenBook(spec, TwistWord.parse(spec, catalog, "a b"), ("2", "x"))
+    assert surgery(book, "x", Fraction(-4)).bindings == ("2", "x", "1", "3", "4")
+    assert surgery(book, "2", Fraction(-4)).bindings == ("1", "x", "2", "3", "4")

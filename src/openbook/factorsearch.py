@@ -17,8 +17,9 @@ it also cuts branches whose homology cannot reach the target within
 
 * depth-first - one bounded walk of all L letters, whose leaf returns
   the path when its key is the target's;
-* meet in the middle - used from length 2 on once len(alphabet) **
-  max_length exceeds ``MITM_THRESHOLD``: an unbounded walk of L // 2
+* meet in the middle - used from length 2 on once n ** max_length
+  exceeds ``MITM_THRESHOLD``, n the number of letters walked (see
+  duplicates below): an unbounded walk of L // 2
   letters stores each suffix in a table, then a bounded walk of the
   other letters returns the first prefix whose key the table holds,
   joined to its suffix.
@@ -47,6 +48,14 @@ depth, last letter), whose leaves have the same keys and so found no
 match either.  The first prefix that matches therefore gives the least
 match, the word the depth-first walk would have found first.
 
+Duplicates.  When the search prunes, it walks each class of one twist
+once: a letter whose one-letter key equals an earlier letter's is
+dropped.  Swapping the earlier twin in keeps the class of a word and
+makes it smaller in alphabet order, so the least word never uses the
+dropped letter, and a word over the whole alphabet exists exactly when
+one over the letters kept does.  The certificate still lists the given
+alphabet.
+
 Pruning never changes the outcome:
 
 * weight - the capping weights (``surface.curve_weights``) are
@@ -58,13 +67,16 @@ Pruning never changes the outcome:
   included in the suffix walk.  When these sums (``_weight_levels``)
   rule out every length beyond ``max_length``, or the infeasibility
   check below fires, the certificate says no length works.  An
-  undecided weight in the target or alphabet turns the cut off.
+  undecided weight in the target or a letter walked turns the cut off.
 * homology - a product of k positive transvections I + h q^T differs
   from the identity by a matrix of rank at most k, so a branch dies
   when rank(M_prefix^-1 M_target - I) exceeds the remaining length.
   M = I + D J and M_prefix is invertible, so that rank is the rank of
   (D_target - D_prefix) J, the first 2g columns of the difference of
-  the D already in the two keys.
+  the D already in the two keys.  Having 2g columns, it has rank at most
+  2g, so the check runs only while fewer than 2g letters remain; with
+  one left, rank <= 1 is tested directly, as every row being a multiple
+  of the first nonzero row.
   If some abelianized vector is fixed by every alphabet transvection
   but moved by the target, no length works and the search exits at
   once.  The transvections fix the common kernel of their q, and
@@ -231,12 +243,22 @@ def _weight_levels(target, letters, count: int) -> list[set]:
 
 def _rank_bound_ok(d_prefix, target_genus_cols, remaining: int) -> bool:
     """rank((D_target - D_prefix) J) <= remaining, from the first 2g
-    columns of each D."""
-    delta = tuple(
-        tuple(t - x for t, x in zip(t_row, row))
+    columns of each D; rank <= 1 without elimination."""
+    delta = [
+        [t - x for t, x in zip(t_row, row)]
         for t_row, row in zip(target_genus_cols, d_prefix)
+    ]
+    if remaining != 1:
+        return matrix_rank(delta) <= remaining
+    rows = iter(delta)
+    first = next((row for row in rows if any(row)), None)
+    if first is None:
+        return True
+    j = next(j for j, x in enumerate(first) if x)
+    # row is a multiple of first exactly when first[j] row = row[j] first
+    return all(
+        first[j] * x == row[j] * y for row in rows for x, y in zip(row, first)
     )
-    return matrix_rank(delta) <= remaining
 
 
 def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome:
@@ -245,8 +267,15 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
     word = problem.target
     surface, catalog = word.surface, word.catalog
     genus = surface.genus
+    two_g = 2 * genus
     curves = [_Curve(n, catalog[n], genus) for n in problem.alphabet]
     start_key = identity_key(surface.rank)
+    if prune:
+        # the first letter of each one-twist class (see Duplicates)
+        classes: dict = {}
+        for c in curves:
+            classes.setdefault(right_compose(start_key, c.step), c)
+        curves = list(classes.values())
     # (j, i) for i < j when the twists of the two letters commute
     commute = {
         (j, i) for j, cj in enumerate(curves) for i in range(j)
@@ -254,13 +283,13 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
     }
     target = evaluate(word)
     target_key = target.key
-    target_genus_cols = tuple(row[:2 * genus] for row in target.D)
+    target_genus_cols = tuple(row[:two_g] for row in target.D)
     # levels up to max_length + 1 decide every length; without weights
     # every level holds the empty vector and nothing is cut.  One typing
     # of the catalog serves the target and the letters
     weights = curve_weights(surface, catalog) if prune else None
     target_w = None if weights is None else word_weights(word, weights)
-    letter_w = [] if target_w is None else [weights[n] for n in problem.alphabet]
+    letter_w = [] if target_w is None else [weights[c.name] for c in curves]
     levels, count = [{()}], problem.max_length + 2
     if target_w is None or None in letter_w:
         target_w, letter_w = (), [()] * len(curves)
@@ -291,7 +320,8 @@ def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome
             if depth == stop:
                 return leaf(path, key)
             if prune:
-                if bounded and not _rank_bound_ok(
+                # the rank is at most 2g, so only fewer letters left can cut
+                if bounded and length - depth < two_g and not _rank_bound_ok(
                     key[1], target_genus_cols, length - depth
                 ):
                     prune_counts["homology"] += 1

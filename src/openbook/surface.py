@@ -301,8 +301,10 @@ def load_builtin(name: str) -> tuple[SurfaceSpec, Catalog]:
     return spec, dict(catalog)
 
 
+@lru_cache(maxsize=32)
 def identity_key(rank: int):
-    """Class key of the identity (see ``right_compose``)."""
+    """Class key of the identity (see ``right_compose``); built once per
+    rank, as keys are immutable."""
     return sanov_basis(rank), zero_matrix(rank)
 
 

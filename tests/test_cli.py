@@ -209,11 +209,11 @@ def test_search_peel(capsys):
 _PHI_CERTIFICATE = (
     "exhausted: no positive factorisation up to length 8\n"
     "alphabet: a b g d1 d2 e s1 s2 s3\n"
-    "nodes: 94\n"
-    "pruned weight: 144\n"
+    "nodes: 71\n"
+    "pruned weight: 94\n"
     "pruned homology: 0\n"
-    "pruned memo: 4\n"
-    "pruned canonical: 96\n"
+    "pruned memo: 0\n"
+    "pruned canonical: 62\n"
     "pruned infeasible: 0\n"
     "mode: mitm\n"
     "no positive factorisation over this alphabet at any length\n"

@@ -14,6 +14,7 @@ from openbook.factorsearch import (
     word_weights,
 )
 from openbook.freegroup import sanov_basis, sanov_substitute
+from openbook.homology import matrix_rank
 from openbook.mcg import (
     TwistWord,
     applicable_moves,
@@ -232,13 +233,19 @@ def test_pruning_does_not_change_answers(page, data):
         halved = search_positive(problem)
     assert plain.word == depth_first.word == halved.word
     if halved.certificate:
-        mitm = len(alphabet) > 1 and max_length > 0
+        # the mode counts the one-twist classes the walk keeps
+        start = identity_key(spec.rank)
+        classes = {
+            right_compose(start, twist_step(catalog[n], spec.genus)) for n in alphabet
+        }
+        mitm = len(classes) > 1 and max_length > 0
         assert halved.certificate.mode == ("mitm" if mitm else "iddfs")
 
 
 def test_derived_commutation_on_sigma13():
     # the sigma13 page has no builtin relation tables; its commuting
-    # pairs come from class keys, and the certificate shows the prunes
+    # pairs come from class keys, and the certificate shows the prunes.
+    # e and s1 repeat the classes of a and g, so the walk leaves them out
     spec, catalog, word = _SIGMA13
     assert str(word) == "a b g^-1 d1 g3^2 d3 d2"
     alphabet = ("a", "b", "g", "d1", "g3", "e", "s1", "d2", "d3")
@@ -246,11 +253,11 @@ def test_derived_commutation_on_sigma13():
     assert outcome.certificate.lines() == (
         "exhausted: no positive factorisation up to length 5",
         "alphabet: a b g d1 g3 e s1 d2 d3",
-        "nodes: 111",
-        "pruned weight: 204",
-        "pruned homology: 19",
-        "pruned memo: 15",
-        "pruned canonical: 321",
+        "nodes: 71",
+        "pruned weight: 115",
+        "pruned homology: 12",
+        "pruned memo: 0",
+        "pruned canonical: 219",
         "pruned infeasible: 0",
         "mode: iddfs",
     )
@@ -302,6 +309,50 @@ def test_search_is_deterministic():
     assert str(first.certificate) == "\n".join(first.certificate.lines())
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((1, 2)), st.data())
+def test_rank_bound_is_exact(genus, data):
+    # the cut reads (D_target - D_prefix) J on 2g columns; a sum of a few
+    # outer products gives every rank, and remaining runs past 2g
+    cols = 2 * genus
+    rows = data.draw(st.integers(min_value=1, max_value=5))
+    entry = st.integers(min_value=-4, max_value=4)
+    prefix = [data.draw(st.lists(entry, min_size=rows + cols, max_size=rows + cols))
+              for _ in range(rows)]
+    delta = [[0] * cols for _ in range(rows)]
+    for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+        u = data.draw(st.lists(entry, min_size=rows, max_size=rows))
+        v = data.draw(st.lists(entry, min_size=cols, max_size=cols))
+        delta = [[d + x * y for d, y in zip(row, v)] for row, x in zip(delta, u)]
+    target = tuple(
+        tuple(p + d for p, d in zip(p_row, d_row)) for p_row, d_row in zip(prefix, delta)
+    )
+    remaining = data.draw(st.integers(min_value=1, max_value=cols + 1))
+    assert factorsearch._rank_bound_ok(prefix, target, remaining) == (
+        matrix_rank(delta) <= remaining
+    )
+
+
+def test_duplicate_letters_are_walked_once():
+    # e is a's class on sigma12: the search keeps the earlier letter of
+    # the given order, and unpruned search finds the same word
+    spec, catalog = load_builtin("sigma12")
+    square = TwistWord.parse(spec, catalog, "a^2")
+    for alphabet, found in ((("a", "e"), "a^2"), (("e", "a"), "e^2")):
+        problem = SearchProblem(square, alphabet, 2)
+        assert str(search_positive(problem).word) == found
+        assert str(search_positive(problem, prune=False).word) == found
+    # the certificate lists the given alphabet; the walk is the one over
+    # the letters kept, count for count
+    word = TwistWord.parse(spec, catalog, "a b g^-1 d1 d2^4")
+    full = ("a", "b", "g", "d1", "d2", "e", "s1", "s2", "s3")
+    kept = tuple(n for n in full if n not in ("e", "s1"))
+    lines = search_positive(SearchProblem(word, full, 8)).certificate.lines()
+    assert lines[1] == "alphabet: a b g d1 d2 e s1 s2 s3"
+    lean = search_positive(SearchProblem(word, kept, 8)).certificate.lines()
+    assert lines[:1] + lines[2:] == lean[:1] + lean[2:]
+
+
 def test_homology_obstruction_needs_no_nodes():
     # tau_b moves a class that every twist in {a} fixes: the search is
     # refuted before a single word is tried
@@ -331,7 +382,9 @@ def test_weight_prune_certifies_every_length():
         outcome = search_positive(SearchProblem(word, alphabet, max_length))
         assert not outcome.found
         assert outcome.certificate.any_length is any_length
-    assert outcome.certificate.mode == "mitm"
+    # e and s1 repeat the classes of a and g: the 7 ** 6 words of the 7
+    # letters walked stay under MITM_THRESHOLD
+    assert outcome.certificate.mode == "iddfs"
     # pruning off: no weights, no claim, the same answer
     plain = search_positive(SearchProblem(word, alphabet, 5), prune=False)
     assert not plain.found and not plain.certificate.any_length

@@ -1,5 +1,7 @@
-"""The demos and the lantern derivation tool run end to end."""
+"""The demos, the lantern derivation tool and the search cost tool run end
+to end."""
 
+import json
 import os
 import subprocess
 import sys
@@ -39,3 +41,15 @@ def test_derive_lantern_twists_matches_frozen_tables():
         f"images:         {surface._S3_IMAGES}",
         f"inverse images: {surface._S3_INVERSE}",
     ]
+
+
+def test_search_cost_exhausts_every_target():
+    report = json.loads(run_script(ROOT / "tools" / "search_cost.py"))
+    lengths = {"a^14 b^-1": 13, "s2^7 s3^-1 a^7": 13, "a b g^-1 d1 g3^2 d3 d2": 6}
+    assert sorted(report) == sorted(lengths)
+    for name, length in lengths.items():
+        assert report[name]["verdict"] == (
+            f"exhausted: no positive factorisation up to length {length}; "
+            "no positive factorisation over this alphabet at any length"
+        )
+        assert report[name]["nodes"] > 0

@@ -74,9 +74,7 @@ Pruning never changes the outcome:
   M = I + D J and M_prefix is invertible, so that rank is the rank of
   (D_target - D_prefix) J, the first 2g columns of the difference of
   the D already in the two keys.  Having 2g columns, it has rank at most
-  2g, so the check runs only while fewer than 2g letters remain; with
-  one left, rank <= 1 is tested directly, as every row being a multiple
-  of the first nonzero row.
+  2g, so the check runs only while fewer than 2g letters remain.
   If some abelianized vector is fixed by every alphabet transvection
   but moved by the target, no length works and the search exits at
   once.  The transvections fix the common kernel of their q, and
@@ -243,22 +241,12 @@ def _weight_levels(target, letters, count: int) -> list[set]:
 
 def _rank_bound_ok(d_prefix, target_genus_cols, remaining: int) -> bool:
     """rank((D_target - D_prefix) J) <= remaining, from the first 2g
-    columns of each D; rank <= 1 without elimination."""
-    delta = [
-        [t - x for t, x in zip(t_row, row)]
+    columns of each D."""
+    delta = tuple(
+        tuple(t - x for t, x in zip(t_row, row))
         for t_row, row in zip(target_genus_cols, d_prefix)
-    ]
-    if remaining != 1:
-        return matrix_rank(delta) <= remaining
-    rows = iter(delta)
-    first = next((row for row in rows if any(row)), None)
-    if first is None:
-        return True
-    j = next(j for j, x in enumerate(first) if x)
-    # row is a multiple of first exactly when first[j] row = row[j] first
-    return all(
-        first[j] * x == row[j] * y for row in rows for x, y in zip(row, first)
     )
+    return matrix_rank(delta) <= remaining
 
 
 def search_positive(problem: SearchProblem, prune: bool = True) -> SearchOutcome:

@@ -1,7 +1,7 @@
 """The demos, the lantern derivation tool and the search cost tool run end
 to end."""
 
-import json
+import importlib.util
 import os
 import subprocess
 import sys
@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from openbook import surface
+from openbook.factorsearch import search_positive
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -44,12 +45,19 @@ def test_derive_lantern_twists_matches_frozen_tables():
 
 
 def test_search_cost_exhausts_every_target():
-    report = json.loads(run_script(ROOT / "tools" / "search_cost.py"))
+    # one search per target, without the tool's warm-up and timing
+    spec = importlib.util.spec_from_file_location(
+        "search_cost", ROOT / "tools" / "search_cost.py"
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
     lengths = {"a^14 b^-1": 13, "s2^7 s3^-1 a^7": 13, "a b g^-1 d1 g3^2 d3 d2": 6}
-    assert sorted(report) == sorted(lengths)
+    problems = tool.problems()
+    assert sorted(problems) == sorted(lengths)
     for name, length in lengths.items():
-        assert report[name]["verdict"] == (
+        outcome = search_positive(problems[name])
+        assert tool.verdict(outcome) == (
             f"exhausted: no positive factorisation up to length {length}; "
             "no positive factorisation over this alphabet at any length"
         )
-        assert report[name]["nodes"] > 0
+        assert outcome.certificate.nodes > 0

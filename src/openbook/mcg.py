@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import eq
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .freegroup import FreeAutomorphism, compose, sanov_substitute
 from .homology import (
@@ -128,8 +128,7 @@ class TwistWord:
         """The word as single-exponent letters (name, +-1)."""
         out: list[tuple[str, int]] = []
         for name, exp in self.entries:
-            sign = 1 if exp > 0 else -1
-            out.extend((name, sign) for _ in range(abs(exp)))
+            out += [(name, 1 if exp > 0 else -1)] * abs(exp)
         return tuple(out)
 
     @property
@@ -277,10 +276,46 @@ def boundary_exponent_delta(word: TwistWord, i: int, j: int) -> int:
 
 _MOVES = ("braid", "commute", "chain", "lantern")
 
+# both sides of each ``surface.RELATION_PATTERNS`` identity as expanded letters
+_PATTERNS = {
+    key: tuple(tuple((name, 1) for name in side) for side in pattern)
+    for key, pattern in RELATION_PATTERNS.items()
+}
 
-def _relation(word: TwistWord, u: str, v: str) -> str | None:
-    # a curve commutes with itself, so "braid" implies u != v
-    return pair_relation(word.surface.genus, word.catalog[u], word.catalog[v])
+
+def _matches(
+    word: TwistWord, exp: Entries, positions: range, moves: tuple[str, ...]
+) -> Iterator[tuple[str, int, str, int, Entries]]:
+    """Each match of a move in ``moves`` at a position in ``positions``
+    of the expanded word ``exp``, as (move, position, direction, width,
+    replacement), ``exp[position:position + width]`` rewriting to
+    ``replacement``; in ``_MOVES`` order, then by position, chain and
+    lantern forward before backward.  Braid and commute are their own
+    inverses and match forward only.
+    """
+    genus, catalog, size = word.surface.genus, word.catalog, len(exp)
+    start, stop = max(positions.start, 0), positions.stop
+    if "braid" in moves:
+        for i in range(start, min(stop, size - 2)):
+            (u, eu), (v, ev), (u2, eu2) = exp[i:i + 3]
+            # a curve commutes with itself, so a braid pair is two curves
+            if (u == u2 and eu == ev == eu2 == 1
+                    and pair_relation(genus, catalog[u], catalog[v]) == "braid"):
+                yield "braid", i, "forward", 3, ((v, 1), (u, 1), (v, 1))
+    if "commute" in moves:
+        for i in range(start, min(stop, size - 1)):
+            (u, eu), (v, ev) = exp[i:i + 2]
+            if u != v and pair_relation(genus, catalog[u], catalog[v]) == "commute":
+                yield "commute", i, "forward", 2, ((v, ev), (u, eu))
+    for move in ("chain", "lantern"):
+        if move not in moves or (word.surface.name, move) not in _PATTERNS:
+            continue
+        lhs, rhs = _PATTERNS[word.surface.name, move]
+        for direction, src, dst in (("forward", lhs, rhs), ("backward", rhs, lhs)):
+            width = len(src)
+            for i in range(start, min(stop, size - width + 1)):
+                if exp[i:i + width] == src:
+                    yield move, i, direction, width, dst
 
 
 def apply_relation(
@@ -291,78 +326,37 @@ def apply_relation(
 ) -> TwistWord:
     """Rewrite a word by one relation move at a position.
 
-    Positions index the exponent-expanded letter sequence.  Braid and
-    commute pairs come from ``surface.pair_relation`` on the word's
-    catalog, chain and lantern from ``surface.RELATION_PATTERNS``; the
-    rewritten word evaluates to the same mapping class.
+    Positions index the exponent-expanded letter sequence.  The match
+    rules live in ``_matches``, which ``applicable_moves`` shares: braid
+    and commute pairs come from ``surface.pair_relation`` on the word's
+    catalog and ignore the direction, chain and lantern from
+    ``surface.RELATION_PATTERNS``; the rewritten word evaluates to the
+    same mapping class.
     """
     if move not in _MOVES:
         raise ValueError(f"unknown move {move!r}")
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
-    exp = list(word.expanded())
-
-    def fail() -> ValueError:
-        return ValueError(f"{move} pattern does not match at position {position}")
-
-    if move == "braid":
-        if not 0 <= position <= len(exp) - 3:
-            raise fail()
-        (u, eu), (v, ev), (u2, eu2) = exp[position:position + 3]
-        if not (u == u2 and eu == ev == eu2 == 1 and _relation(word, u, v) == "braid"):
-            raise fail()
-        exp[position:position + 3] = [(v, 1), (u, 1), (v, 1)]
-        return TwistWord(word.surface, word.catalog, tuple(exp))
-
-    if move == "commute":
-        if not 0 <= position <= len(exp) - 2:
-            raise fail()
-        (u, eu), (v, ev) = exp[position:position + 2]
-        if u == v or _relation(word, u, v) != "commute":
-            raise fail()
-        exp[position:position + 2] = [(v, ev), (u, eu)]
-        return TwistWord(word.surface, word.catalog, tuple(exp))
-
-    # chain and lantern: replace one side of the stored identity by the other
-    pattern = RELATION_PATTERNS.get((word.surface.name, move))
-    if pattern is None:
+    if move in ("braid", "commute"):
+        direction = "forward"
+    elif (word.surface.name, move) not in _PATTERNS:
         raise ValueError(f"surface {word.surface.name} has no {move} relation")
-    lhs, rhs = pattern
-    src, dst = (lhs, rhs) if direction == "forward" else (rhs, lhs)
-    src_letters = [(n, 1) for n in src]
-    if not (
-        0 <= position <= len(exp) - len(src_letters)
-        and exp[position:position + len(src_letters)] == src_letters
+    exp = word.expanded()
+    for _, _, found, width, replacement in _matches(
+        word, exp, range(position, position + 1), (move,)
     ):
-        raise fail()
-    exp[position:position + len(src_letters)] = [(n, 1) for n in dst]
-    return TwistWord(word.surface, word.catalog, tuple(exp))
+        if found == direction:
+            rewritten = exp[:position] + replacement + exp[position + width:]
+            return TwistWord(word.surface, word.catalog, rewritten)
+    raise ValueError(f"{move} pattern does not match at position {position}")
 
 
 def applicable_moves(word: TwistWord) -> tuple[tuple[str, int, str], ...]:
     """All (move, position, direction) triples that apply_relation would
-    accept on this word, in deterministic order."""
+    accept on this word, braid and commute as forward only, in
+    deterministic order (see ``_matches``)."""
     exp = word.expanded()
-    found: list[tuple[str, int, str]] = []
-    for i in range(len(exp) - 2):
-        (u, eu), (v, ev), (u2, eu2) = exp[i:i + 3]
-        if u == u2 and eu == ev == eu2 == 1 and _relation(word, u, v) == "braid":
-            found.append(("braid", i, "forward"))
-    for i in range(len(exp) - 1):
-        (u, _), (v, _) = exp[i:i + 2]
-        if u != v and _relation(word, u, v) == "commute":
-            found.append(("commute", i, "forward"))
-    for move in ("chain", "lantern"):
-        pattern = RELATION_PATTERNS.get((word.surface.name, move))
-        if pattern is None:
-            continue
-        lhs, rhs = pattern
-        for direction, src in (("forward", lhs), ("backward", rhs)):
-            src_letters = tuple((n, 1) for n in src)
-            for i in range(len(exp) - len(src_letters) + 1):
-                if exp[i:i + len(src_letters)] == src_letters:
-                    found.append((move, i, direction))
-    return tuple(found)
+    return tuple(match[:3] for match in _matches(word, exp, range(len(exp)), _MOVES))
 
 
 def rename_word(

@@ -23,6 +23,7 @@ from openbook.mcg import (
     rename_word,
 )
 from openbook.surface import (
+    RELATION_PATTERNS,
     identity_key,
     load_builtin,
     pair_relation,
@@ -207,6 +208,22 @@ def test_apply_relation_errors():
         apply_relation(word, "slide", 0)
     with pytest.raises(ValueError):
         apply_relation(word, "commute", 5)
+    with pytest.raises(ValueError, match="^unknown direction 'sideways'$"):
+        apply_relation(word, "commute", 0, "sideways")
+    with pytest.raises(ValueError, match="^commute pattern does not match at position -1$"):
+        apply_relation(word, "commute", -1)
+    chain = TwistWord.parse(spec, catalog, "a b " * 6)
+    with pytest.raises(ValueError, match="^chain pattern does not match at position 2$"):
+        apply_relation(chain, "chain", 2)  # the pattern would run past the end
+    page13, catalog13 = _sigma13_page()
+    stars = TwistWord.parse(page13, catalog13, "s1 s2 s3")
+    for move in ("chain", "lantern"):
+        with pytest.raises(ValueError, match=f"^surface sigma13 has no {move} relation$"):
+            apply_relation(stars, move, 0)
+    # commute, like braid, reads backward as forward
+    spec2, catalog2 = load_builtin("sigma12")
+    pair = TwistWord.parse(spec2, catalog2, "a d2")
+    assert str(apply_relation(pair, "commute", 0, "backward")) == "d2 a"
 
 
 def _sigma13_page():
@@ -259,6 +276,41 @@ def _check_random_moves(spec, catalog, names):
             )
         checked += 1
     assert checked > RANDOM_ROUNDS // 2
+
+
+def test_apply_relation_accepts_exactly_the_applicable_moves():
+    kinds = set()
+    for spec, catalog in [load_builtin("sigma11"), load_builtin("sigma12"), _sigma13_page()]:
+        rng = random.Random(29)
+        names = sorted(catalog)
+        words = [random_word(rng, spec, catalog, rng.randint(0, 5), names) for _ in range(40)]
+        for move in ("chain", "lantern"):  # plant each side of each pattern
+            for side in RELATION_PATTERNS.get((spec.name, move), ()):
+                planted = TwistWord(spec, catalog, tuple((n, 1) for n in side))
+                words.append(random_word(rng, spec, catalog, 1, names) * planted)
+                words.append(planted * random_word(rng, spec, catalog, 1, names))
+        for word in words:
+            accepted = []
+            for move, direction, position in itertools.product(
+                ("braid", "commute", "chain", "lantern"),
+                ("forward", "backward"),
+                range(-1, len(word.expanded()) + 1),
+            ):
+                try:
+                    moved = apply_relation(word, move, position, direction)
+                except ValueError:
+                    continue
+                if move in ("braid", "commute") and direction == "backward":
+                    forward = apply_relation(word, move, position, "forward")
+                    assert moved.entries == forward.entries
+                    continue
+                accepted.append((move, position, direction))
+            assert sorted(accepted) == sorted(applicable_moves(word))
+            kinds.update((move, direction) for move, _, direction in accepted)
+    assert kinds == {
+        ("braid", "forward"), ("commute", "forward"), ("chain", "forward"),
+        ("chain", "backward"), ("lantern", "forward"), ("lantern", "backward"),
+    }
 
 
 def test_applicable_moves_enumeration():

@@ -30,6 +30,16 @@ def test_demo_runs(demo):
     run_script(demo)
 
 
+def test_demo_03_relation_moves():
+    # every move on the lantern word, in applicable_moves order
+    out = run_script(ROOT / "demos" / "03_exact_classes_and_relations.py")
+    assert out.splitlines()[-3:] == [
+        "commute  at 0: d1 d2 e^2 -> d2 d1 e^2; class preserved: True",
+        "commute  at 1: d1 d2 e^2 -> d1 e d2 e; class preserved: True",
+        "lantern  at 0: d1 d2 e^2 -> s1 s2 s3; class preserved: True",
+    ]
+
+
 def test_derive_lantern_twists_matches_frozen_tables():
     out = run_script(ROOT / "tools" / "derive_lantern_twists.py")
     frozen = out.split("frozen solution")[1]

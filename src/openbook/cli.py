@@ -15,8 +15,11 @@ Subcommands:
 
 Exit codes: 0 success, 1 invalid input, 2 search exhausted without a
 factorisation.  All flags take a value except --json, --peel and
---no-prune; flags may be repeated only where noted.  Output is plain
-text; --json switches to a machine-readable rendering of the same data.
+--no-prune; no flag may be given twice except --link and --blow-down.
+--e0, --max-length and --n take integers.  --word, --word1 and --word2
+default to the empty word (the identity), --max-length to 0.  Output is
+plain text; --json switches to a machine-readable rendering of the same
+data.
 """
 
 from __future__ import annotations
@@ -45,113 +48,88 @@ class UsageError(ValueError):
 
 _VALUELESS = {"--json", "--peel", "--no-prune"}
 _REPEATABLE = {"--link", "--blow-down"}
+_INTEGER = {"--e0", "--max-length", "--n"}
 
 
-def _parse_args(tokens: list[str], allowed: set[str], positionals: int = 0):
-    """Split tokens into flag values and positionals; unknown flags and
-    arity mistakes are usage errors."""
+def _parse_args(command: str, tokens: list[str]):
+    """Split tokens into flag values and positionals by the command's row
+    of ``_COMMANDS``.  Unknown flags, arity mistakes, repeats, missing
+    required flags and malformed integers are usage errors."""
+    _, allowed, required, positionals = _COMMANDS[command]
     flags: dict[str, object] = {}
     rest: list[str] = []
     i = 0
     while i < len(tokens):
         tok = tokens[i]
-        if tok.startswith("--"):
-            if tok not in allowed:
-                raise UsageError(f"unknown flag {tok}")
-            if tok in _VALUELESS:
-                flags[tok] = True
-                i += 1
-                continue
-            if i + 1 >= len(tokens):
-                raise UsageError(f"flag {tok} needs a value")
-            value = tokens[i + 1]
-            if tok in _REPEATABLE:
-                flags.setdefault(tok, []).append(value)
-            elif tok in flags:
-                raise UsageError(f"flag {tok} given twice")
-            else:
-                flags[tok] = value
-            i += 2
-        else:
+        i += 1
+        if not tok.startswith("--"):
             rest.append(tok)
+            continue
+        if tok != "--json" and tok not in allowed:
+            raise UsageError(f"unknown flag {tok}")
+        if tok in _VALUELESS:
+            value = True
+        elif i < len(tokens):
+            value = tokens[i]
             i += 1
+        else:
+            raise UsageError(f"flag {tok} needs a value")
+        if tok in _REPEATABLE:
+            flags.setdefault(tok, []).append(value)
+        elif tok in flags:
+            raise UsageError(f"flag {tok} given twice")
+        else:
+            flags[tok] = value
     if len(rest) != positionals:
         raise UsageError(
             f"expected {positionals} positional argument(s), got {len(rest)}"
         )
+    if any(flag not in flags for flag in required):
+        raise UsageError(f"{command} needs {' and '.join(required)}")
+    for flag in _INTEGER.intersection(flags):
+        try:
+            flags[flag] = int(flags[flag])
+        except ValueError:
+            raise UsageError(f"bad integer {flags[flag]!r}") from None
     return flags, rest
 
 
-def _read_config(path: str):
-    """Read and parse a catalog config file, without validating it."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from None
-    return catalog_from_json(text)
-
-
-def load_config(path: str):
-    """Load and validate a catalog config file."""
-    spec, catalog = _read_config(path)
-    report = validate_catalog(spec, catalog)
-    if not report.ok:
-        failing = ", ".join(c.name for c in report.failing())
-        raise UsageError(f"config validation failed: {failing}")
-    return spec, catalog
-
-
-def _surface_flags(flags):
-    name = flags.get("--surface")
-    path = flags.get("--config")
+def _load(flags, *word_flags, validate: bool = True):
+    """The page named by --surface or read from --config, then the twist
+    words of ``word_flags`` on it, each the identity when absent.  A
+    config page must pass its catalog checks unless ``validate`` is
+    false."""
+    name, path = flags.get("--surface"), flags.get("--config")
     if (name is None) == (path is None):
         raise UsageError("need exactly one of --surface and --config")
-    return name, path
-
-
-def _load_surface(flags):
-    name, path = _surface_flags(flags)
-    return load_builtin(name) if path is None else load_config(path)
-
-
-def _emit(json_mode: bool, text_lines, payload) -> None:
-    if json_mode:
-        print(json.dumps(payload, indent=2))
+    if path is None:
+        spec, catalog = load_builtin(name)
     else:
-        for line in text_lines:
-            print(line)
+        try:
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read config {path}: {exc}") from None
+        spec, catalog = catalog_from_json(text)
+        if validate:
+            report = validate_catalog(spec, catalog)
+            if not report.ok:
+                failing = ", ".join(c.name for c in report.failing())
+                raise UsageError(f"config validation failed: {failing}")
+    words = [TwistWord.parse(spec, catalog, flags.get(f, "")) for f in word_flags]
+    return (spec, catalog, *words)
 
 
-def _cmd_cf(tokens) -> int:
-    flags, rest = _parse_args(tokens, {"--json"}, positionals=1)
-    r = parse_rational(rest[0])
-    cf = neg_continued_fraction(r)
-    _emit(
-        "--json" in flags,
-        [cf.display()],
-        {"entries": list(cf.entries), "display": cf.display()},
-    )
-    return 0
+def _cmd_cf(flags, text):
+    cf = neg_continued_fraction(parse_rational(text))
+    return [cf.display()], {"entries": list(cf.entries), "display": cf.display()}
 
 
-def _book_from_flags(flags) -> OpenBook:
-    spec, catalog = _load_surface(flags)
-    word = TwistWord.parse(spec, catalog, flags.get("--word", ""))
-    return OpenBook.standard(spec, word)
-
-
-def _cmd_surgery(tokens) -> int:
-    flags, _ = _parse_args(
-        tokens, {"--surface", "--config", "--word", "--K", "--r", "--n", "--json"}
-    )
-    if "--K" not in flags or "--r" not in flags:
-        raise UsageError("surgery needs --K and --r")
-    ob = _book_from_flags(flags)
-    n = int(flags["--n"]) if "--n" in flags else None
-    out = surgery(ob, flags["--K"], parse_rational(flags["--r"]), n)
-    _emit(
-        "--json" in flags,
+def _cmd_surgery(flags):
+    spec, _, word = _load(flags, "--word")
+    book = OpenBook.standard(spec, word)
+    out = surgery(book, flags["--K"], parse_rational(flags["--r"]), flags.get("--n"))
+    return (
         [f"surface: {out.surface.name}", f"word: {out.word.render()}"],
         {
             "surface": out.surface.name,
@@ -159,21 +137,16 @@ def _cmd_surgery(tokens) -> int:
             "bindings": list(out.bindings),
         },
     )
-    return 0
 
 
-def _cmd_h1(tokens) -> int:
-    flags, _ = _parse_args(tokens, {"--surface", "--config", "--word", "--json"})
-    ob = _book_from_flags(flags)
-    group = h1_of_open_book(ob)
-    _emit("--json" in flags, [f"H1: {group}"], {"h1": str(group)})
-    return 0
+def _cmd_h1(flags):
+    spec, _, word = _load(flags, "--word")
+    group = h1_of_open_book(OpenBook.standard(spec, word))
+    return [f"H1: {group}"], {"h1": str(group)}
 
 
-def _cmd_eval(tokens) -> int:
-    flags, _ = _parse_args(tokens, {"--surface", "--config", "--word", "--json"})
-    spec, catalog = _load_surface(flags)
-    word = TwistWord.parse(spec, catalog, flags.get("--word", ""))
+def _cmd_eval(flags):
+    spec, _, word = _load(flags, "--word")
     cls = evaluate(word)
     lines = []
     if cls.linear_only:
@@ -191,66 +164,41 @@ def _cmd_eval(tokens) -> int:
         "M": [list(r) for r in cls.M],
         "D": [list(r) for r in cls.D],
     }
-    _emit("--json" in flags, lines, payload)
-    return 0
+    return lines, payload
 
 
-def _cmd_equal(tokens) -> int:
-    flags, _ = _parse_args(
-        tokens, {"--surface", "--config", "--word1", "--word2", "--json"}
-    )
-    spec, catalog = _load_surface(flags)
-    a = evaluate(TwistWord.parse(spec, catalog, flags.get("--word1", "")))
-    b = evaluate(TwistWord.parse(spec, catalog, flags.get("--word2", "")))
-    verdict = equal_classes(a, b)
-    _emit(
-        "--json" in flags,
-        [f"equal: {'true' if verdict else 'false'}"],
-        {"equal": verdict},
-    )
-    return 0
+def _cmd_equal(flags):
+    _, _, a, b = _load(flags, "--word1", "--word2")
+    verdict = equal_classes(evaluate(a), evaluate(b))
+    return [f"equal: {'true' if verdict else 'false'}"], {"equal": verdict}
 
 
-def _cmd_search(tokens) -> int:
-    flags, _ = _parse_args(tokens, {
-        "--surface", "--config", "--target", "--alphabet", "--max-length",
-        "--peel", "--no-prune", "--json",
-    })
-    spec, catalog = _load_surface(flags)
-    if "--target" not in flags or "--alphabet" not in flags:
-        raise UsageError("search needs --target and --alphabet")
-    word = TwistWord.parse(spec, catalog, flags["--target"])
+def _cmd_search(flags):
+    _, _, word = _load(flags, "--target")
     alphabet = tuple(t.strip() for t in flags["--alphabet"].split(",") if t.strip())
-    max_length = int(flags.get("--max-length", "0"))
-    pre_lines, peeled = [], {}
+    lines, peeled = [], {}
     if "--peel" in flags:
         weights = word_weights(word)
         peeled["weights"] = None if weights is None else list(weights)
         shown = "undecided" if weights is None else " ".join(map(str, weights))
-        pre_lines = [f"weights: {shown}"]
-    problem = SearchProblem(word, alphabet, max_length)
+        lines = [f"weights: {shown}"]
+    problem = SearchProblem(word, alphabet, flags.get("--max-length", 0))
     outcome = search_positive(problem, prune="--no-prune" not in flags)
-    json_mode = "--json" in flags
     if outcome.found:
         found = outcome.word.render()
-        _emit(json_mode, pre_lines + [f"found: {found}"], {**peeled, "found": found})
-        return 0
+        return lines + [f"found: {found}"], {**peeled, "found": found}
     cert = outcome.certificate
-    _emit(
-        json_mode,
-        pre_lines + list(cert.lines()),
-        {
-            **peeled,
-            "exhausted": True,
-            "alphabet": list(cert.alphabet),
-            "max_length": cert.max_length,
-            "nodes": cert.nodes,
-            "prunes": dict(cert.prunes),
-            "mode": cert.mode,
-            "any_length": cert.any_length,
-        },
-    )
-    return 2
+    payload = {
+        **peeled,
+        "exhausted": True,
+        "alphabet": list(cert.alphabet),
+        "max_length": cert.max_length,
+        "nodes": cert.nodes,
+        "prunes": dict(cert.prunes),
+        "mode": cert.mode,
+        "any_length": cert.any_length,
+    }
+    return lines + list(cert.lines()), payload, 2
 
 
 def _present(link: FramedLinkPresentation, sort_key):
@@ -275,28 +223,14 @@ def _present(link: FramedLinkPresentation, sort_key):
     return lines, payload
 
 
-def _cmd_seifert(tokens) -> int:
-    flags, _ = _parse_args(tokens, {"--e0", "--rs", "--json"})
-    if "--e0" not in flags or "--rs" not in flags:
-        raise UsageError("seifert needs --e0 and --rs")
-    try:
-        e0 = int(flags["--e0"])
-    except ValueError:
-        raise UsageError(f"bad integer {flags['--e0']!r}") from None
+def _cmd_seifert(flags):
     rs = tuple(parse_rational(t) for t in flags["--rs"].split(","))
     if len(rs) != 3:
         raise UsageError("--rs takes three comma-separated rationals")
-    link = seifert_presentation(SeifertData(e0, rs))
-    _emit("--json" in flags, *_present(link, str))
-    return 0
+    return _present(seifert_presentation(SeifertData(flags["--e0"], rs)), str)
 
 
-def _cmd_kirby(tokens) -> int:
-    flags, _ = _parse_args(
-        tokens, {"--coefficients", "--link", "--blow-down", "--json"}
-    )
-    if "--coefficients" not in flags:
-        raise UsageError("kirby needs --coefficients")
+def _cmd_kirby(flags):
     coeffs = tuple(
         parse_rational(t) for t in flags["--coefficients"].split(",") if t.strip()
     )
@@ -320,39 +254,41 @@ def _cmd_kirby(tokens) -> int:
 
     for target in flags.get("--blow-down", []):
         link = blow_down(link, target)
-    _emit("--json" in flags, *_present(link, sort_key))
-    return 0
+    return _present(link, sort_key)
 
 
-def _cmd_validate(tokens) -> int:
-    flags, _ = _parse_args(tokens, {"--surface", "--config", "--json"})
-    name, path = _surface_flags(flags)
-    spec, catalog = load_builtin(name) if path is None else _read_config(path)
-    report = validate_catalog(spec, catalog)
-    _emit(
-        "--json" in flags,
-        str(report).splitlines(),
-        {
-            "ok": report.ok,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in report.checks
-            ],
-        },
-    )
-    return 0 if report.ok else 1
+def _cmd_validate(flags):
+    report = validate_catalog(*_load(flags, validate=False))
+    payload = {
+        "ok": report.ok,
+        "checks": [
+            {"name": c.name, "passed": c.passed, "detail": c.detail}
+            for c in report.checks
+        ],
+    }
+    return str(report).splitlines(), payload, 0 if report.ok else 1
 
 
+_PAGE = ("--surface", "--config")
+
+# subcommand: (handler, flags besides --json, required flags, positionals).
+# A handler takes the parsed flags and the positionals and returns its
+# text lines, its --json payload and optionally its exit code (else 0).
 _COMMANDS = {
-    "cf": _cmd_cf,
-    "surgery": _cmd_surgery,
-    "h1": _cmd_h1,
-    "eval": _cmd_eval,
-    "equal": _cmd_equal,
-    "search": _cmd_search,
-    "seifert": _cmd_seifert,
-    "kirby": _cmd_kirby,
-    "validate": _cmd_validate,
+    "cf": (_cmd_cf, (), (), 1),
+    "surgery": (_cmd_surgery, (*_PAGE, "--word", "--K", "--r", "--n"), ("--K", "--r"), 0),
+    "h1": (_cmd_h1, (*_PAGE, "--word"), (), 0),
+    "eval": (_cmd_eval, (*_PAGE, "--word"), (), 0),
+    "equal": (_cmd_equal, (*_PAGE, "--word1", "--word2"), (), 0),
+    "search": (
+        _cmd_search,
+        (*_PAGE, "--target", "--alphabet", "--max-length", "--peel", "--no-prune"),
+        ("--target", "--alphabet"),
+        0,
+    ),
+    "seifert": (_cmd_seifert, ("--e0", "--rs"), ("--e0", "--rs"), 0),
+    "kirby": (_cmd_kirby, ("--coefficients", "--link", "--blow-down"), ("--coefficients",), 0),
+    "validate": (_cmd_validate, _PAGE, (), 0),
 }
 
 
@@ -362,15 +298,21 @@ def main(argv: list[str] | None = None) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 0 if args else 1
     command = args[0]
-    handler = _COMMANDS.get(command)
-    if handler is None:
+    if command not in _COMMANDS:
         print(f"error: unknown subcommand {command!r}", file=sys.stderr)
         return 1
     try:
-        return handler(args[1:])
+        flags, rest = _parse_args(command, args[1:])
+        lines, payload, *code = _COMMANDS[command][0](flags, *rest)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if "--json" in flags:
+        print(json.dumps(payload, indent=2))
+    else:
+        for line in lines:
+            print(line)
+    return code[0] if code else 0
 
 
 if __name__ == "__main__":

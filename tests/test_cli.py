@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from openbook import cli
 from openbook.cli import main
 
 
@@ -97,6 +99,29 @@ def test_eval(capsys):
         "M": [[0, 1], [-1, 1]],
         "D": [[-1, 1], [-1, 0]],
     }
+
+
+def test_eval_linear_only(tmp_path, capsys):
+    # stabilising sigma12 at boundary 2 leaves s2 and s3 without an exact
+    # automorphism, so eval prints only the linear data
+    from openbook.surface import catalog_to_json, load_builtin, stabilize
+
+    page = stabilize(*load_builtin("sigma12"), 2)
+    path = tmp_path / "page.json"
+    path.write_text(catalog_to_json(page.surface, page.catalog))
+    argv = ("eval", "--config", str(path), "--word", "s2 a")
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (
+        0,
+        "aut: unavailable (some curve has no exact automorphism)\n"
+        "D:\n0 2 -1 -1\n0 0 0 0\n0 -1 1 1\n0 -1 1 1\n",
+        "",
+    )
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["linear_only"] is True and payload["images"] is None
+    assert payload["D"] == [[0, 2, -1, -1], [0, 0, 0, 0], [0, -1, 1, 1], [0, -1, 1, 1]]
 
 
 def test_equal(capsys):
@@ -499,6 +524,86 @@ def test_help_and_unknown(capsys):
     assert code == 1 and err == "error: unknown subcommand 'bogus'\n"
     code, _, err = run(capsys, "cf", "-5/4", "--frobnicate")
     assert code == 1 and "unknown flag" in err
+
+
+# the message of each subcommand given no arguments at all
+_BARE = {
+    "cf": "expected 1 positional argument(s), got 0",
+    "surgery": "surgery needs --K and --r",
+    "h1": "need exactly one of --surface and --config",
+    "eval": "need exactly one of --surface and --config",
+    "equal": "need exactly one of --surface and --config",
+    "search": "search needs --target and --alphabet",
+    "seifert": "seifert needs --e0 and --rs",
+    "kirby": "kirby needs --coefficients",
+    "validate": "need exactly one of --surface and --config",
+}
+# one malformed use of each integer flag, the other arguments valid
+_BAD_INTEGER = {
+    "--e0": "seifert --e0 x --rs 1/2,1/3,1/4",
+    "--max-length": "search --surface sigma11 --target a --alphabet a --max-length x",
+    "--n": "surgery --surface sigma11 --word a --K 1 --r 5 --n x",
+}
+
+
+def _error_cases():
+    """(argv, message) for malformed input: the usage errors of every
+    command-table row, then the integer, rational, link and config ones."""
+    cases = []
+    for command, (_, flags, _, _) in cli._COMMANDS.items():
+        cases.append(([command], _BARE[command]))
+        cases.append(([command, "--bogus"], "unknown flag --bogus"))
+        for flag in ("--json", *cli._VALUELESS.intersection(flags)):
+            cases.append(([command, flag, flag], f"flag {flag} given twice"))
+        valued = [f for f in flags if f not in cli._VALUELESS]
+        if valued:
+            cases.append(([command, valued[0]], f"flag {valued[0]} needs a value"))
+    cases += [(argv.split(), "bad integer 'x'") for argv in _BAD_INTEGER.values()]
+    cases += [
+        # a missing flag is reported before the page is read
+        ("search --surface bogus --alphabet a".split(), "search needs --target and --alphabet"),
+        ("search --surface sigma11 --target a --alphabet a --max-length 1 --max-length 2".split(),
+         "flag --max-length given twice"),
+        ("seifert --e0 -1 --rs 1/2,1/3".split(), "--rs takes three comma-separated rationals"),
+        ("kirby --coefficients 1,2 --link 1-2".split(), "bad --link '1-2'; expected i-j:lk"),
+        ("h1 --config MISSING".split(), "cannot read config MISSING: "),
+        ("validate --config MISSING".split(), "cannot read config MISSING: "),
+    ]
+    return cases
+
+
+_ERROR_CASES = _error_cases()
+
+
+@pytest.mark.parametrize(
+    "argv, message", _ERROR_CASES, ids=[" ".join(a) for a, _ in _ERROR_CASES]
+)
+def test_error_contract(argv, message, tmp_path, capsys):
+    # every malformed command line exits 1 with nothing on stdout and one
+    # line on stderr
+    missing = str(tmp_path / "missing.json")
+    argv = [missing if a == "MISSING" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: " + message.replace("MISSING", missing))
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+
+
+def test_help_matches_the_command_table():
+    # the -h text lists the table's subcommands in order and names the
+    # valueless, repeatable and integer flags exactly
+    doc = cli.__doc__
+    assert re.findall(r"^    (\S+)  ", doc, re.M) == list(cli._COMMANDS)
+    for sentence, group in (
+        (r"All flags take a value except (.*?);", cli._VALUELESS),
+        (r"no flag may be given twice except (.*?)\.", cli._REPEATABLE),
+        (r"([^.]*) take integers", cli._INTEGER),
+    ):
+        named = re.search(sentence, doc, re.S).group(1)
+        assert set(re.findall(r"--[\w-]+", named)) == group
+    used = {"--json"}.union(*(row[1] for row in cli._COMMANDS.values()))
+    assert cli._VALUELESS | cli._REPEATABLE | cli._INTEGER <= used
+    assert set(_BAD_INTEGER) == cli._INTEGER
 
 
 def test_installed_entry_point():

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -133,64 +134,98 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]
         entries d_1 | d_2 | ... | d_rank of the Smith normal form, all
         positive, and ``rank`` is the rank of the matrix.
 
-    While more than two nonzero rows are left, a pass pivots on a unit,
-    else on a least entry p: it reduces p's column by floor quotients,
-    then, once that column is clean, p's row mod p (which changes no
-    other row).  If both are clean, |p| splits off with its row and
-    column, as a unit always does; else a smaller remainder is the next
-    pivot.  The last two rows give d_1 = gcd of their entries and
-    d_1 d_2 = gcd of their 2x2 minors, 0 at rank 1 (Cohen, GTM 138,
-    2.4.4).  A gcd/lcm fold restores d_i | d_{i+1}.
+    While more than two nonzero rows are left, and not 3x3, a pass
+    clears a unit's column and drops it in one go, counting the unit.
+    With no unit it pivots on a least entry p: it reduces p's column by
+    floor quotients, then, once that column is clean, p's row mod p
+    (which changes no other row).  If both are clean, |p| splits off
+    with its row and column; else a smaller remainder is the next
+    pivot.  The tail's determinantal divisors (Cohen, GTM 138, 2.4.4),
+    each written out, give the rest: d_1 = gcd of its entries, d_1 d_2
+    = gcd of its 2x2 minors (a 2x2 tail's determinant) and, for a 3x3
+    tail, d_1 d_2 d_3 = |det|; the first zero one ends the rank.  A
+    gcd/lcm fold over the non-unit divisors restores d_i | d_{i+1}.
     """
     cols = len(a[0]) if a else 0
     if any(len(row) != cols for row in a):
         raise ValueError("ragged matrix")
     m = [list(row) for row in a if any(row)]
+    units = 0
     divisors: list[int] = []
-    while len(m) > 2:
+    while len(m) > 3 or len(m) == 3 and cols != 3:
         for row in m:
             if 1 in row or -1 in row:
                 p = 1 if 1 in row else -1
+                j = row.index(p)
+                rest = []
+                for other in m:
+                    if other is not row:
+                        c = other[j] * p
+                        if c:
+                            other = [x - c * y for x, y in zip(other, row)]
+                        del other[j]
+                        if any(other):
+                            rest.append(other)
+                units += 1
+                cols -= 1
                 break
         else:
             p = min(min(map(abs, filter(None, row))) for row in m)
             row = next(row for row in m if p in row or -p in row)
             p = p if p in row else -p
-        j = row.index(p)
-        rest = []
-        clean = True
-        for other in m:
-            if other is not row:
-                if other[j]:
-                    q = other[j] // p
-                    other = [x - q * y for x, y in zip(other, row)]
+            j = row.index(p)
+            rest = []
+            clean = True
+            for other in m:
+                if other is not row:
                     if other[j]:
-                        clean = False
-                    elif not any(other):
-                        continue
-                rest.append(other)
-        if clean and not any(x % p for x in row):
-            divisors.append(abs(p))
-            for other in rest:
-                del other[j]
-        else:
-            if clean:
-                row = [x % p for x in row]
-                row[j] = p
-            rest.append(row)
+                        q = other[j] // p
+                        other = [x - q * y for x, y in zip(other, row)]
+                        if other[j]:
+                            clean = False
+                        elif not any(other):
+                            continue
+                    rest.append(other)
+            if clean and not any(x % p for x in row):
+                divisors.append(abs(p))
+                for other in rest:
+                    del other[j]
+                cols -= 1
+            else:
+                if clean:
+                    row = [x % p for x in row]
+                    row[j] = p
+                rest.append(row)
         m = rest
-    if m:
-        divisors.append(math.gcd(*m[0], *m[-1]))
-        if len(m) == 2:
-            minors = math.gcd(*[x * w - y * z for (x, z), (y, w) in combinations(zip(*m), 2)])
-            if minors:
-                divisors.append(minors // divisors[-1])
+    # the determinantal divisors of the tail: d_1, d_1 d_2, d_1 d_2 d_3
+    if len(m) == 3:
+        (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = m
+        m1, m2, m3 = b2 * c3 - b3 * c2, b1 * c3 - b3 * c1, b1 * c2 - b2 * c1
+        minors = (m1, m2, m3, a2 * c3 - a3 * c2, a1 * c3 - a3 * c1, a1 * c2 - a2 * c1,
+                  a2 * b3 - a3 * b2, a1 * b3 - a3 * b1, a1 * b2 - a2 * b1)
+        tail = (math.gcd(*m[0], *m[1], *m[2]), math.gcd(*minors), abs(a1 * m1 - a2 * m2 + a3 * m3))
+    elif len(m) == 2:
+        if cols == 2:
+            (w, x), (y, z) = m
+            minors = (w * z - x * y,)
+        else:
+            minors = [x * w - y * z for (x, z), (y, w) in combinations(zip(*m), 2)]
+        tail = (math.gcd(*m[0], *m[1]), math.gcd(*minors))
+    else:
+        tail = (math.gcd(*m[0]),) if m else ()
+    for lo, hi in zip((1,) + tail, tail):
+        if not hi:
+            break
+        if hi == lo:
+            units += 1
+        else:
+            divisors.append(hi // lo)
     # restore the divisibility chain d_i | d_{i+1}
     for i in range(len(divisors)):
         for k in range(i + 1, len(divisors)):
             g = math.gcd(divisors[i], divisors[k])
             divisors[i], divisors[k] = g, divisors[i] * divisors[k] // g
-    return tuple(divisors), len(divisors)
+    return (1,) * units + tuple(divisors), units + len(divisors)
 
 
 @dataclass(frozen=True)
@@ -209,6 +244,14 @@ class AbelianGroup:
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a != 0:
                 raise ValueError("torsion divisors must form a divisibility chain")
+
+    @classmethod
+    def _trusted(cls, free_rank: int, torsion: tuple[int, ...]) -> "AbelianGroup":
+        """Wrap fields already known to pass ``__post_init__``."""
+        group = object.__new__(cls)
+        object.__setattr__(group, "free_rank", free_rank)
+        object.__setattr__(group, "torsion", torsion)
+        return group
 
     @property
     def order(self) -> int | None:
@@ -229,11 +272,12 @@ class AbelianGroup:
 
 
 def cokernel(a: Sequence[Sequence[int]], rows: int | None = None) -> AbelianGroup:
-    """The cokernel Z^rows / (column space of a) as an AbelianGroup."""
+    """The cokernel Z^rows / (column space of a) as an AbelianGroup,
+    built trusted: Smith-form divisors already form a chain."""
     if rows is None:
         rows = len(a)
     divisors, rank = smith_normal_form(a)
-    return AbelianGroup(rows - rank, tuple(d for d in divisors if d > 1))
+    return AbelianGroup._trusted(rows - rank, divisors[divisors.count(1):])
 
 
 def twist_data(
@@ -319,6 +363,13 @@ def invert_linear(d: Matrix, genus: int) -> Matrix:
     return scale_matrix(mat_mul(d, mat_inverse_unimodular(r)), -1)
 
 
+@lru_cache(maxsize=1024)
+def twist_pairs(h: Vector, p: Vector, genus: int) -> tuple[Pairs, Pairs]:
+    """Jh and p of a curve as ``nonzero`` pairs, unscaled; memoised by
+    value, as surgery builds new curve objects with the same data."""
+    return nonzero(h[:2 * genus]), nonzero(p)
+
+
 def h1_of_open_book(ob) -> AbelianGroup:
     """First homology of the closed 3-manifold of an open book.
 
@@ -326,17 +377,26 @@ def h1_of_open_book(ob) -> AbelianGroup:
     ``word`` whose entries name curves in its catalog; only the (h, p)
     pairing data of those curves is used, so linear-only catalogs
     suffice.  The group is the cokernel of the deviation matrix D of the
-    monodromy word, folded one ``append_twist`` per entry (with e p for
-    an entry c^e).
+    monodromy word, folded in place in one list of rows, one rank-one
+    update D + e (D Jh + h) p^T per entry c^e (``append_twist``, exact
+    as p . Jh = 0), with Jh and p from the ``twist_pairs`` memo.
     """
     surface = ob.surface
     word = ob.word
-    g2 = 2 * surface.genus
-    d = zero_matrix(surface.rank)
+    genus = surface.genus
+    d = [[0] * surface.rank for _ in range(surface.rank)]
     for name, exp in word.entries:
         try:
             cfg = word.catalog[name]
         except KeyError:
             raise ValueError(f"no pairing data for curve {name!r}") from None
-        d = append_twist(d, nonzero(cfg.h[:g2]), cfg.h, nonzero(cfg.p, exp))
-    return cokernel(d)
+        h = cfg.h
+        jh, p = twist_pairs(h, cfg.p, genus)
+        for row, u in zip(d, h):
+            for j, x in jh:
+                u += row[j] * x
+            if u:
+                u *= exp
+                for j, x in p:
+                    row[j] += u * x
+    return cokernel(tuple(map(tuple, d)))

@@ -143,21 +143,23 @@ def seifert_presentation(data: SeifertData) -> FramedLinkPresentation:
     prod_{j!=i} p_j| (so M(-1; 1/2, 1/3, 1/4) gives Z/2), and the
     star-shaped presentation matrix realises that determinant only with
     meridian numerators -p_i; +1/r_i framings would give the order with
-    the cross terms subtracted instead (50 in the example).
+    the cross terms subtracted instead (50 in the example).  Built
+    trusted: the labels are distinct literals and the pairs sorted.
     """
     labels = ("c0", "c1", "c2", "c3")
     coeffs = (Fraction(data.e0),) + tuple(-1 / r for r in data.rs)
-    linking = {_pair("c0", l): 1 for l in labels[1:]}
-    return FramedLinkPresentation(labels, coeffs, linking)
+    linking = {("c0", l): 1 for l in labels[1:]}
+    return FramedLinkPresentation._trusted(labels, coeffs, linking)
 
 
 def rational_to_chain(r: Fraction) -> FramedLinkPresentation:
     """The integer chain replacing one r-framed component, r < -1: the
-    entries of the negative continued fraction, consecutively linked."""
+    entries of the negative continued fraction, consecutively linked.
+    Built trusted: the labels are distinct and the pairs sorted."""
     entries = neg_continued_fraction(r).entries
     labels = tuple(f"c{i}" for i in range(1, len(entries) + 1))
     coeffs = tuple(Fraction(c) for c in entries)
     linking = {
         _pair(labels[i], labels[i + 1]): 1 for i in range(len(labels) - 1)
     }
-    return FramedLinkPresentation(labels, coeffs, linking)
+    return FramedLinkPresentation._trusted(labels, coeffs, linking)

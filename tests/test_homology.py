@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import openbook.homology as homology
 from openbook.homology import (
     AbelianGroup,
     append_twist,
@@ -123,29 +124,62 @@ def test_smith_normal_form_rectangular_oracle():
                     _check_smith(a)
 
 
+def _pad(a):
+    """``a`` with a zero column appended: same divisors, but a 3x4 never
+    takes the square 3x3 tail, so it walks the pivot passes."""
+    return tuple(row + (0,) for row in a)
+
+
 def test_smith_normal_form_branches():
     # a unit pivot on more than two rows: its row and column split off
     unit = ((4, 6, 1), (8, 2, 3), (6, 10, 5))
-    assert _check_smith(unit) == (1, 2, 72)
+    assert _check_smith(_pad(unit)) == _check_smith(unit) == (1, 2, 72)
     # no unit on more than two rows: pivot 4 leaves the remainders 2 and 1
     # in its column, so the Euclid step loops before anything splits off
     euclid = ((4, 6, 0), (6, 4, 0), (9, 0, 9))
     assert not any(abs(x) == 1 for row in euclid for x in row)
-    assert _check_smith(euclid) == (1, 2, 90)
+    assert _check_smith(_pad(euclid)) == _check_smith(euclid) == (1, 2, 90)
     # the pivot's column is clean but its row is not: reduced mod p, loops
     row_first = ((2, 3, 0), (0, 6, 0), (0, 0, 10))
-    assert _check_smith(row_first) == (1, 2, 60)
+    assert _check_smith(_pad(row_first)) == _check_smith(row_first) == (1, 2, 60)
     # a unit-free pivot that splits off at once, then the two-row tail
-    assert _check_smith(((2, 0, 0), (0, 4, 6), (0, 6, 4))) == (2, 2, 10)
-    # the two-row tail: rank 2 (minors' gcd nonzero) and rank 1 (all zero)
+    split = ((2, 0, 0), (0, 4, 6), (0, 6, 4))
+    assert _check_smith(_pad(split)) == _check_smith(split) == (2, 2, 10)
+    # the two-row tail: rank 2 (minors' gcd nonzero) and rank 1 (all zero),
+    # 2x2 by its determinant, 2x3 by its minors
     assert _check_smith(((2, 4), (6, 2))) == (2, 10)
+    assert _check_smith(((2, 4), (3, 6))) == (1,)
     assert _check_smith(((2, 4, 6), (3, 6, 9))) == (1,)
     assert _check_smith(((6,), (4,))) == (2,)
     assert _check_smith(((0, 4, 0),)) == (4,)
     # a rank-1 tail after a unit split
-    assert _check_smith(((1, 0, 0), (0, 4, 8), (0, 6, 12))) == (1, 2)
+    rank_one = ((1, 0, 0), (0, 4, 8), (0, 6, 12))
+    assert _check_smith(_pad(rank_one)) == _check_smith(rank_one) == (1, 2)
     # 4 splits off first, the tail gives 3 and 18: the fold makes 1 | 6 | 36
-    assert _check_smith(((9, 0, 0), (0, 6, 0), (0, 0, 4))) == (1, 6, 36)
+    fold = ((9, 0, 0), (0, 6, 0), (0, 0, 4))
+    assert _check_smith(_pad(fold)) == _check_smith(fold) == (1, 6, 36)
+    # the 3x3 tail from determinantal divisors: full rank, cyclic and not
+    assert _check_smith(((2, 3, 5), (7, 11, 13), (17, 19, 23))) == (1, 1, 78)
+    assert _check_smith(((2, 0, 0), (0, 2, 0), (0, 0, 2))) == (2, 2, 2)
+    assert _check_smith(((4, 6, 2), (6, 4, 8), (2, 8, 10))) == (2, 2, 70)
+    # rank 2 (|det| = 0) and rank 1 (every 2x2 minor 0)
+    assert _check_smith(((2, 4, 6), (4, 2, 8), (6, 6, 14))) == (2, 2)
+    assert _check_smith(((2, 4, 6), (4, 8, 12), (-6, -12, -18))) == (2,)
+    # a negative determinant, -24
+    assert _check_smith(((0, 2, 0), (3, 0, 0), (0, 0, 4))) == (1, 2, 12)
+    # a 4x4 whose one unit splits off, leaving a 3x3 tail
+    four = ((1, 2, 0, 4), (2, 6, 4, 8), (0, 4, 10, 6), (4, 8, 6, 22))
+    assert sum(abs(x) == 1 for row in four for x in row) == 1
+    assert _check_smith(four) == (1, 2, 2, 12)
+    # 3x4 and 4x3 are not square: they pivot, never take the 3x3 tail
+    wide = ((2, 4, 6, 8), (4, 2, 8, 6), (6, 8, 2, 4))
+    assert _check_smith(wide) == (2, 2, 40)
+    assert _check_smith(tuple(zip(*wide))) == (2, 2, 40)
+    # entries near 10^6: the determinant is exact
+    big = ((999983, 10**6, -999999), (123457, -999991, 654321), (10**6 - 7, 2, 999979))
+    assert _check_smith(big) == (1, 1, 1469075543961502896)
+    singular = big[:2] + (tuple(x + y for x, y in zip(*big[:2])),)
+    assert _check_smith(singular) == (1, 3)
 
 
 def test_cokernel_and_rendering():
@@ -312,3 +346,50 @@ def test_h1_of_open_book_is_the_cokernel_of_dense_d():
             spec.genus,
         )
         assert h1_of_open_book(OpenBook.standard(spec, word)) == cokernel(d)
+
+
+def _old_fold(spec, word):
+    """D of a word by one ``append_twist`` per entry, e p for c^e."""
+    d = zero_matrix(spec.rank)
+    for name, e in word.entries:
+        cfg = word.catalog[name]
+        d = append_twist(d, nonzero(cfg.h[:2 * spec.genus]), cfg.h, nonzero(cfg.p, e))
+    return d
+
+
+def test_h1_of_open_book_folds_the_class_key_d(monkeypatch):
+    # the in-place fold with memoised unscaled pairs builds exactly the D of
+    # mcg.evaluate, powers and repeated letters included; on carried
+    # (surgered) catalogs it matches the append_twist fold
+    seen = []
+
+    def spy(a, rows=None):
+        seen.append(a)
+        return cokernel(a, rows)
+
+    monkeypatch.setattr(homology, "cokernel", spy)
+    rng = random.Random(2020)
+    for page in ("sigma11", "sigma12"):
+        spec, catalog = load_builtin(page)
+        names = sorted(catalog)
+        for _ in range(RANDOM_ROUNDS // 2):
+            entries = []
+            for _ in range(rng.randint(0, 10)):
+                name = entries[-1][0] if entries and rng.random() < 0.3 else rng.choice(names)
+                entries.append((name, rng.choice((-3, -2, -1, 1, 2, 3))))
+            word = TwistWord(spec, catalog, tuple(entries))
+            group = h1_of_open_book(OpenBook.standard(spec, word))
+            d = evaluate(word).key[1]
+            assert seen.pop() == d == _old_fold(spec, word)
+            assert group == cokernel(d)
+            assert (group.free_rank, group.torsion) == (
+                spec.rank - len(sympy_divisors(d)),
+                tuple(x for x in sympy_divisors(d) if x > 1),
+            )
+    spec, catalog = load_builtin("sigma11")
+    book = OpenBook.standard(spec, TwistWord.parse(spec, catalog, "a b"))
+    for r in (Fraction(-7, 3), Fraction(5, 2), Fraction(-11, 4)):
+        ob = surgery(book, "1", r)
+        group = h1_of_open_book(ob)
+        assert seen.pop() == _old_fold(ob.surface, ob.word)
+        assert str(group) == ("Z/%d" % abs(r.numerator))

@@ -252,6 +252,18 @@ def _times_transvection(m, u, v, e):
     )
 
 
+def _within_twists(entries, twists):
+    """The longest prefix of ``entries`` with at most ``twists`` twists:
+    evaluate folds Sanov entries that grow exponentially with the twists,
+    so a word of 24 twists can take minutes where 12 take under 0.2 s."""
+    total = 0
+    for i, (_, exp) in enumerate(entries):
+        total += abs(exp)
+        if total > twists:
+            return entries[:i]
+    return entries
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(
@@ -259,7 +271,7 @@ def _times_transvection(m, u, v, e):
             st.sampled_from(sorted(SIGMA12)), st.sampled_from((-3, -2, -1, 1, 2, 3))
         ),
         max_size=8,
-    )
+    ).map(lambda entries: _within_twists(entries, 12))
 )
 def test_compose_linear_invariant(entries):
     # M = I + D J and R = I + J D are derived from D; check them against the

@@ -140,10 +140,10 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]
     floor quotients, then, once that column is clean, p's row mod p
     (which changes no other row).  If both are clean, |p| splits off
     with its row and column; else a smaller remainder is the next
-    pivot.  The tail's determinantal divisors (Cohen, GTM 138, 2.4.4),
-    each written out, give the rest: d_1 = gcd of its entries, d_1 d_2
-    = gcd of its 2x2 minors (a 2x2 tail's determinant) and, for a 3x3
-    tail, d_1 d_2 d_3 = |det|; the first zero one ends the rank.  A
+    pivot.  The tail's determinantal divisors (Cohen, GTM 138, 2.4.4)
+    give the rest: d_1 = gcd of its entries, d_1 d_2 = gcd of its 2x2
+    minors and, for a 3x3 tail, d_1 d_2 d_3 = |det|, its nine minors
+    written out; the first zero one ends the rank.  A
     gcd/lcm fold over the non-unit divisors restores d_i | d_{i+1}.
     """
     cols = len(a[0]) if a else 0
@@ -205,11 +205,7 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]
                   a2 * b3 - a3 * b2, a1 * b3 - a3 * b1, a1 * b2 - a2 * b1)
         tail = (math.gcd(*m[0], *m[1], *m[2]), math.gcd(*minors), abs(a1 * m1 - a2 * m2 + a3 * m3))
     elif len(m) == 2:
-        if cols == 2:
-            (w, x), (y, z) = m
-            minors = (w * z - x * y,)
-        else:
-            minors = [x * w - y * z for (x, z), (y, w) in combinations(zip(*m), 2)]
+        minors = [x * w - y * z for (x, z), (y, w) in combinations(zip(*m), 2)]
         tail = (math.gcd(*m[0], *m[1]), math.gcd(*minors))
     else:
         tail = (math.gcd(*m[0]),) if m else ()
@@ -273,10 +269,13 @@ class AbelianGroup:
 
 def cokernel(a: Sequence[Sequence[int]], rows: int | None = None) -> AbelianGroup:
     """The cokernel Z^rows / (column space of a) as an AbelianGroup,
-    built trusted: Smith-form divisors already form a chain."""
+    built trusted: Smith-form divisors already form a chain, and a
+    ``rows`` below the rank is rejected here."""
     if rows is None:
         rows = len(a)
     divisors, rank = smith_normal_form(a)
+    if rows < rank:
+        raise ValueError("free rank must be nonnegative")
     return AbelianGroup._trusted(rows - rank, divisors[divisors.count(1):])
 
 

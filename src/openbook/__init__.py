@@ -14,7 +14,7 @@ from openbook.factorsearch import (
     verify_factorisation,
     word_weights,
 )
-from openbook.freegroup import FreeAutomorphism, FreeWord
+from openbook.freegroup import FreeAutomorphism
 from openbook.homology import AbelianGroup, cokernel, h1_of_open_book, smith_normal_form
 from openbook.kirby import (
     FramedLinkPresentation,
@@ -53,7 +53,6 @@ __all__ = [
     "CurveConfig",
     "FramedLinkPresentation",
     "FreeAutomorphism",
-    "FreeWord",
     "MappingClass",
     "OpenBook",
     "SearchOutcome",

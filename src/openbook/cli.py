@@ -28,7 +28,6 @@ import json
 import sys
 
 from .factorsearch import SearchProblem, search_positive, word_weights
-from .freegroup import FreeWord
 from .homology import h1_of_open_book
 from .kirby import (
     FramedLinkPresentation,
@@ -152,10 +151,10 @@ def _cmd_eval(flags):
     if cls.linear_only:
         lines.append("aut: unavailable (some curve has no exact automorphism)")
     else:
-        for label, image in zip(spec.gen_labels, cls.exact.images):
-            lines.append(
-                f"{label} -> {FreeWord.make(spec.rank, image).to_str(spec.gen_labels)}"
-            )
+        labels = spec.gen_labels
+        for label, image in zip(labels, cls.exact.images):
+            spelled = (labels[x - 1] if x > 0 else labels[-x - 1] + "^-1" for x in image)
+            lines.append(f"{label} -> {' '.join(spelled)}")
     lines.append("D:")
     lines.extend(" ".join(str(v) for v in row) for row in cls.D)
     payload = {

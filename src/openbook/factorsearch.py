@@ -101,7 +101,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add, le, sub
 
-from .homology import matrix_rank, twist_data
+from .homology import dot, matrix_rank
 from .mcg import MappingClass, TwistWord, evaluate
 from .surface import (
     CurveConfig,
@@ -213,9 +213,10 @@ class _Curve:
     __slots__ = ("name", "cfg", "q", "step", "inverse_step")
 
     def __init__(self, name: str, cfg: CurveConfig, genus: int) -> None:
-        # raises unless p.Jh = 0, which makes the relative transvection of
-        # the inverse twist I - Jh p^T
-        twist_data(cfg.h, cfg.p, genus)
+        # p.Jh = 0 makes the relative transvection of the inverse twist
+        # I - Jh p^T
+        if dot(cfg.p, cfg.h[:2 * genus]):
+            raise ValueError("p . Jh must vanish for a twist transvection")
         self.name = name
         self.cfg = cfg
         self.q = cfg.q[:2 * genus]

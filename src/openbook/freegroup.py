@@ -1,8 +1,9 @@
 """Exact words and automorphisms of finitely generated free groups.
 
-Words are kept freely reduced at all times, so word equality is plain
-tuple equality.  Letters are signed 1-based generator indices: +k is the
-generator x_k, -k its inverse.
+A word is a plain tuple of letters (``Letters``), the one word type
+every module passes around.  Letters are signed 1-based generator
+indices: +k is the generator x_k, -k its inverse.  The functions here
+keep words freely reduced, so word equality is plain tuple equality.
 
 Automorphisms store images of the generators together with images under
 the inverse map.  Both directions are checked against each other when an
@@ -109,31 +110,6 @@ def are_conjugate(a: Sequence[int], b: Sequence[int]) -> bool:
     return any(doubled[i:i + len(rb)] == rb for i in range(len(ra)))
 
 
-def det(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant (fraction-free Bareiss elimination)."""
-    n = len(matrix)
-    m = [list(row) for row in matrix]
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant requires a square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 # A 2x2 integer matrix [[a, b], [c, d]], stored as (a, b, c, d).
 SL2 = tuple[int, int, int, int]
 
@@ -188,64 +164,6 @@ def sanov_substitute(
                 a, b, c, d = a * e - b * g, b * h - a * f, c * e - d * g, d * h - c * f
         out.append((a, b, c, d))
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class FreeWord:
-    """A freely reduced word in F_rank."""
-
-    rank: int
-    letters: Letters
-
-    def __post_init__(self) -> None:
-        if self.rank < 0:
-            raise ValueError("rank must be nonnegative")
-        reduced = reduce_letters(self.letters, self.rank)
-        if reduced != tuple(self.letters):
-            raise ValueError(f"word {self.letters} is not freely reduced")
-        object.__setattr__(self, "letters", reduced)
-
-    @classmethod
-    def make(cls, rank: int, raw: Iterable[int]) -> "FreeWord":
-        return cls(rank, reduce_letters(raw, rank))
-
-    @classmethod
-    def identity(cls, rank: int) -> "FreeWord":
-        return cls(rank, ())
-
-    def __mul__(self, other: "FreeWord") -> "FreeWord":
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        return FreeWord(self.rank, concat(self.letters, other.letters))
-
-    def inverse(self) -> "FreeWord":
-        return FreeWord(self.rank, invert_letters(self.letters))
-
-    def __pow__(self, n: int) -> "FreeWord":
-        base = self.letters if n >= 0 else invert_letters(self.letters)
-        return FreeWord(self.rank, concat(*([base] * abs(n))))
-
-    def conjugate_by(self, w: "FreeWord") -> "FreeWord":
-        """w^-1 * self * w."""
-        return w.inverse() * self * w
-
-    def exponent_sums(self) -> tuple[int, ...]:
-        return exponent_sums(self.letters, self.rank)
-
-    def is_identity(self) -> bool:
-        return not self.letters
-
-    def to_str(self, names: Sequence[str] | None = None) -> str:
-        if not self.letters:
-            return "1"
-        parts = []
-        for letter in self.letters:
-            name = names[abs(letter) - 1] if names else f"x{abs(letter)}"
-            parts.append(name if letter > 0 else name + "^-1")
-        return " ".join(parts)
-
-    def __str__(self) -> str:
-        return self.to_str()
 
 
 @dataclass(frozen=True)

@@ -267,16 +267,12 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def cokernel(a: Sequence[Sequence[int]], rows: int | None = None) -> AbelianGroup:
-    """The cokernel Z^rows / (column space of a) as an AbelianGroup,
-    built trusted: Smith-form divisors already form a chain, and a
-    ``rows`` below the rank is rejected here."""
-    if rows is None:
-        rows = len(a)
+def cokernel(a: Sequence[Sequence[int]]) -> AbelianGroup:
+    """The cokernel Z^m / (column space of a), m the number of rows of a
+    (an m x 0 map is m empty rows), as an AbelianGroup built trusted:
+    Smith-form divisors already form a chain, and the rank is at most m."""
     divisors, rank = smith_normal_form(a)
-    if rows < rank:
-        raise ValueError("free rank must be nonnegative")
-    return AbelianGroup._trusted(rows - rank, divisors[divisors.count(1):])
+    return AbelianGroup._trusted(len(a) - rank, divisors[divisors.count(1):])
 
 
 def twist_data(

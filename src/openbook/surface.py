@@ -54,7 +54,6 @@ from .freegroup import (
     Letters,
     are_conjugate,
     concat,
-    det,
     exponent_sums,
     reduce_letters,
     sanov_basis,
@@ -62,6 +61,7 @@ from .freegroup import (
 )
 from .homology import (
     append_twist,
+    cokernel,
     dot,
     identity_matrix,
     mat_add,
@@ -75,20 +75,17 @@ Vector = tuple[int, ...]
 
 @dataclass(frozen=True)
 class SurfaceSpec:
-    """Signature and fixed bases of a compact surface with boundary."""
+    """Signature and boundary words of a compact surface with boundary;
+    the generator labels follow from the signature (``gen_labels``)."""
 
     genus: int
     boundary: int
-    gen_labels: tuple[str, ...]
-    rel_labels: tuple[str, ...]
     boundary_words: tuple[Letters, ...]
 
     def __post_init__(self) -> None:
         if self.genus < 0 or self.boundary < 1:
             raise ValueError("need genus >= 0 and at least one boundary component")
         m = self.rank
-        if len(self.gen_labels) != m or len(self.rel_labels) != m:
-            raise ValueError(f"expected {m} basis labels in both bases")
         if len(self.boundary_words) != self.boundary:
             raise ValueError("need one boundary word per boundary component")
         words = tuple(reduce_letters(w, m) for w in self.boundary_words)
@@ -107,8 +104,6 @@ class SurfaceSpec:
         spec = object.__new__(SurfaceSpec)
         object.__setattr__(spec, "genus", self.genus)
         object.__setattr__(spec, "boundary", n)
-        object.__setattr__(spec, "gen_labels", self.gen_labels + (f"z{n}",))
-        object.__setattr__(spec, "rel_labels", self.rel_labels + (f"A{n}",))
         object.__setattr__(spec, "boundary_words", (new_b1,) + self.boundary_words[1:] + ((t,),))
         return spec
 
@@ -120,17 +115,20 @@ class SurfaceSpec:
     def name(self) -> str:
         return f"sigma{self.genus}{self.boundary}"
 
+    @property
+    def gen_labels(self) -> tuple[str, ...]:
+        """Names of x_1, y_1, ..., x_g, y_g, z_2, ..., z_n: x and y on a
+        genus-1 page, x1, y1, ..., xg, yg otherwise, then z2, ..., zn."""
+        if self.genus == 1:
+            labels = ("x", "y")
+        else:
+            labels = tuple(f"{s}{k}" for k in range(1, self.genus + 1) for s in "xy")
+        return labels + tuple(f"z{i}" for i in range(2, self.boundary + 1))
+
     @classmethod
     def standard(cls, genus: int, boundary: int) -> "SurfaceSpec":
-        """The spec with canonical labels and boundary words."""
-        if genus == 1:
-            gen = ["x", "y"]
-            rel = ["jx", "jy"]
-        else:
-            gen = [f"{s}{k}" for k in range(1, genus + 1) for s in ("x", "y")]
-            rel = [f"j{s}{k}" for k in range(1, genus + 1) for s in ("x", "y")]
-        gen += [f"z{i}" for i in range(2, boundary + 1)]
-        rel += [f"A{i}" for i in range(2, boundary + 1)]
+        """The spec with the canonical boundary words b_1 =
+        [x_1,y_1]...[x_g,y_g] z_2^-1 ... z_n^-1 and b_i = z_i."""
         commutators = []
         for k in range(genus):
             x, y = 2 * k + 1, 2 * k + 2
@@ -141,7 +139,7 @@ class SurfaceSpec:
         words = (b1,) + tuple(
             (2 * genus + i - 1,) for i in range(2, boundary + 1)
         )
-        return cls(genus, boundary, tuple(gen), tuple(rel), words)
+        return cls(genus, boundary, words)
 
 
 @dataclass(frozen=True)
@@ -546,7 +544,8 @@ def validate_catalog(surface: SurfaceSpec, catalog: Mapping[str, CurveConfig]) -
             abelian = cfg.aut.abelianize()
             if abelian != mat_add(identity_matrix(m), outer(cfg.h, cfg.q)):
                 problems.append(("transvection", "abelianisation is not I + h q^T"))
-            if abs(det(abelian)) != 1:
+            # Z^m / A Z^m = 0 exactly when det A = +-1
+            if not cokernel(abelian).is_trivial():
                 problems.append(("unimodular", "automorphism not unimodular"))
             if cfg.aut.apply(b1) != b1:
                 problems.append(
@@ -914,9 +913,7 @@ def catalog_from_json(text: str) -> tuple[SurfaceSpec, Catalog]:
     surface = SurfaceSpec.standard(genus, boundary)
     if "boundary_words" in obj:
         words = _ints(obj["boundary_words"], "boundary_words must be lists of integers", 2)
-        surface = SurfaceSpec(
-            genus, boundary, surface.gen_labels, surface.rel_labels, words
-        )
+        surface = SurfaceSpec(genus, boundary, words)
     catalog: Catalog = {}
     entries = obj.get("curves", [])
     if not isinstance(entries, list):

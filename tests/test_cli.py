@@ -99,6 +99,15 @@ def test_eval(capsys):
         "M": [[0, 1], [-1, 1]],
         "D": [[-1, 1], [-1, 0]],
     }
+    # the boundary generator's label and inverse letters
+    code, out, _ = run(capsys, "eval", "--surface", "sigma12", "--word", "s2")
+    assert (code, out) == (
+        0,
+        "x -> z2 x z2^-1\n"
+        "y -> z2 x^-1 z2^-1 x y x z2^-1\n"
+        "z2 -> z2 x^-1 z2 x z2^-1\n"
+        "D:\n0 1 -1\n0 0 0\n0 -1 1\n",
+    )
 
 
 def test_eval_linear_only(tmp_path, capsys):
@@ -339,6 +348,22 @@ def test_validate(capsys):
     assert code == 0
     assert all(line.endswith(": PASS") for line in out.splitlines())
     assert len(out.splitlines()) == 8
+
+
+def test_rank_zero_page(tmp_path, capsys):
+    # a disc page: its free group, abelianisation and D are all empty
+    path = tmp_path / "disc.json"
+    path.write_text(json.dumps({
+        "genus": 0, "boundary": 1,
+        "curves": [{"name": "c", "h": [], "q": [], "p": [],
+                    "aut": {"images": [], "inverse_images": []}}],
+    }))
+    code, out, err = run(capsys, "validate", "--config", str(path))
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 8
+    assert all(line.endswith(": PASS") for line in out.splitlines())
+    assert run(capsys, "h1", "--config", str(path), "--word", "c") == (0, "H1: 0\n", "")
+    assert run(capsys, "eval", "--config", str(path), "--word", "c") == (0, "D:\n", "")
 
 
 def test_config_files(tmp_path, capsys):

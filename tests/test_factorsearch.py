@@ -426,3 +426,12 @@ def test_search_problem_validation():
         SearchProblem(TwistWord.parse(spec13, catalog13, "a s2"), ("a",), 3)
     with pytest.raises(ValueError, match="no exact automorphism"):
         SearchProblem(TwistWord.parse(spec13, catalog13, "a"), ("s2",), 3)
+
+
+def test_search_rejects_a_curve_with_nonzero_p_jh():
+    # p . Jh = 1 for h = x, p = x: no twist transvection has these data
+    spec, catalog = load_builtin("sigma11")
+    bad = CurveConfig("bad", (1, 0), (0, 1), (1, 0), aut=catalog["a"].aut)
+    target = TwistWord.parse(spec, dict(catalog, bad=bad), "a")
+    with pytest.raises(ValueError, match=r"^p \. Jh must vanish for a twist transvection$"):
+        search_positive(SearchProblem(target, ("bad",), 1))

@@ -59,6 +59,9 @@ def test_builtin_structure():
     assert spec.gen_labels == ("x", "y", "z2")
     assert spec.boundary_words == ((1, 2, -1, -2, -3), (3,))
     assert sorted(catalog) == ["a", "b", "d1", "d2", "e", "g", "s1", "s2", "s3"]
+    # the labels follow from the signature alone
+    assert SurfaceSpec.standard(2, 1).gen_labels == ("x1", "y1", "x2", "y2")
+    assert SurfaceSpec.standard(0, 3).gen_labels == ("z2", "z3")
     # e is a second handle over the same homology class as a
     assert catalog["e"].h == catalog["a"].h
     assert catalog["e"].aut == catalog["a"].aut
@@ -394,7 +397,7 @@ def test_surface_spec_is_linear_in_boundary():
     words = list(spec.boundary_words)
     words[-1] = (20001, 20001)
     with pytest.raises(ValueError, match="boundary words do not abelianise to zero"):
-        SurfaceSpec(1, 20000, spec.gen_labels, spec.rel_labels, tuple(words))
+        SurfaceSpec(1, 20000, tuple(words))
 
 
 def test_stabilize_errors():
@@ -501,10 +504,7 @@ def _eager_stabilize(spec, catalog, K):
         far_word = far_side = (zk, t)
         new_b1 = tuple(y for x in spec.boundary_words[0] for y in {zk: (zk, t), -zk: (-t, -zk)}.get(x, (x,)))
         k_index, stab_index = K, new_n
-    new_spec = SurfaceSpec(
-        g, new_n, spec.gen_labels + (f"z{new_n}",), spec.rel_labels + (f"A{new_n}",),
-        (new_b1,) + spec.boundary_words[1:] + ((t,),),
-    )
+    new_spec = SurfaceSpec(g, new_n, (new_b1,) + spec.boundary_words[1:] + ((t,),))
 
     def extend(v):
         return (*v, 0 if zk is None else v[zk - 1])

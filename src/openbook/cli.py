@@ -185,7 +185,7 @@ def _cmd_search(flags):
     outcome = search_positive(problem, prune="--no-prune" not in flags)
     if outcome.found:
         found = outcome.word.render()
-        return lines + [f"found: {found}"], {**peeled, "found": found}
+        return lines + [f"found: {found or '(empty word)'}"], {**peeled, "found": found}
     cert = outcome.certificate
     payload = {
         **peeled,

@@ -34,7 +34,7 @@ exact class equality would give.  Appending a twist c to a word is right
 composition, phi o tau_c (``surface.right_compose``), so the new key
 reads the images of tau_c through the old matrices, and
 D <- D R_c + D_c: both fold in constant data of c, and no free-group
-word is built.  The target's key is the one ``mcg.evaluate`` folds.
+word is built.  The target's key is ``MappingClass.key`` of its word.
 
 Meet in the middle.  A prefix P completes a suffix S when P o S = T,
 that is P = T o S^-1.  The suffix table is filled in the depth-first

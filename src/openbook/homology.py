@@ -365,26 +365,18 @@ def twist_pairs(h: Vector, p: Vector, genus: int) -> tuple[Pairs, Pairs]:
     return nonzero(h[:2 * genus]), nonzero(p)
 
 
-def h1_of_open_book(ob) -> AbelianGroup:
-    """First homology of the closed 3-manifold of an open book.
+def deviation(surface, twists) -> Matrix:
+    """D of the word whose (curve, exponent) factors are ``twists``,
+    rightmost acting first; ``surface`` needs ``genus`` and ``rank``.
 
-    ``ob`` needs a ``surface`` (with ``genus`` and ``rank``) and a
-    ``word`` whose entries name curves in its catalog; only the (h, p)
-    pairing data of those curves is used, so linear-only catalogs
-    suffice.  The group is the cokernel of the deviation matrix D of the
-    monodromy word, folded in place in one list of rows, one rank-one
-    update D + e (D Jh + h) p^T per entry c^e (``append_twist``, exact
-    as p . Jh = 0), with Jh and p from the ``twist_pairs`` memo.
+    Folded in place in one list of rows, one rank-one update
+    D + e (D Jh + h) p^T per entry c^e (``append_twist``, exact as
+    p . Jh = 0), with Jh and p from the ``twist_pairs`` memo; only the
+    (h, p) pairing data of the curves is read.
     """
-    surface = ob.surface
-    word = ob.word
     genus = surface.genus
     d = [[0] * surface.rank for _ in range(surface.rank)]
-    for name, exp in word.entries:
-        try:
-            cfg = word.catalog[name]
-        except KeyError:
-            raise ValueError(f"no pairing data for curve {name!r}") from None
+    for cfg, exp in twists:
         h = cfg.h
         jh, p = twist_pairs(h, cfg.p, genus)
         for row, u in zip(d, h):
@@ -394,4 +386,21 @@ def h1_of_open_book(ob) -> AbelianGroup:
                 u *= exp
                 for j, x in p:
                     row[j] += u * x
-    return cokernel(tuple(map(tuple, d)))
+    return tuple(map(tuple, d))
+
+
+def h1_of_open_book(ob) -> AbelianGroup:
+    """First homology of the closed 3-manifold of an open book.
+
+    ``ob`` needs a ``surface`` (with ``genus`` and ``rank``) and a
+    ``word`` whose entries name curves in its catalog; only the (h, p)
+    pairing data of those curves is used, so linear-only catalogs
+    suffice.  The group is the cokernel of the ``deviation`` D of the
+    monodromy word.
+    """
+    word = ob.word
+    try:
+        twists = [(word.catalog[name], exp) for name, exp in word.entries]
+    except KeyError as missing:
+        raise ValueError(f"no pairing data for curve {missing.args[0]!r}") from None
+    return cokernel(deviation(ob.surface, twists))

@@ -2,50 +2,38 @@
 
 A twist word is a finite product of (powers of) Dehn twists about
 catalog curves; the rightmost letter acts first, matching functional
-composition.  Evaluating a word folds its class key (rho o phi, D)
-from the same unit twist steps as the search (``surface.twist_step``),
-one D update per entry (see ``_fold``): phi is the automorphism of
-pi_1 induced on the page, built as free-group images only when
-``MappingClass.exact`` is read, and rho o phi is None when a curve in
-the word has none; the deviation D always exists, and the homology
-actions M = I + D J and R = I + J D derive from it (see ``homology``).
+composition.  A word evaluates to its mapping class, which stores only
+the word's (curve, exponent) factors; each invariant is derived from
+them on first read, and kept.  The deviation D always exists, folded by
+``homology.deviation``, the fold ``h1_of_open_book`` uses, and the
+homology actions M = I + D J and R = I + J D derive from it (see
+``homology``).  phi is the automorphism of pi_1 induced on the page,
+built as free-group images only when ``MappingClass.exact`` is read;
+rho o phi reads each twist's images through Sanov's rho, and is None
+when a curve in the word has no automorphism.
 
-Equality of mapping classes is decided on the key, so on (phi, D), as
-Sanov's rho is injective.  phi alone is not faithful on a page with
-several boundary components: a twist about a curve parallel to a
-non-basepoint boundary component acts trivially on pi_1 (its based
-representative can be pushed off every generator), yet is a nontrivial
-mapping class.  D separates exactly those twists - its arc columns
-record them - so the pair is a complete invariant for the
+Equality of mapping classes is decided on the class key (rho o phi, D),
+so on (phi, D), as Sanov's rho is injective; D is compared first, and
+rho o phi is folded only when the two D agree.  phi alone is not
+faithful on a page with several boundary components: a twist about a
+curve parallel to a non-basepoint boundary component acts trivially on
+pi_1 (its based representative can be pushed off every generator), yet
+is a nontrivial mapping class.  D separates exactly those twists - its
+arc columns record them - so the pair is a complete invariant for the
 boundary-fixing mapping class group.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import eq
 from typing import Iterable, Iterator, Mapping
 
-from .freegroup import FreeAutomorphism, compose, sanov_substitute
-from .homology import (
-    Matrix,
-    append_twist,
-    identity_matrix,
-    j_matrix,
-    mat_add,
-    mat_mul,
-    nonzero,
-)
-from .surface import (
-    RELATION_PATTERNS,
-    CurveConfig,
-    SurfaceSpec,
-    identity_key,
-    pair_relation,
-    twist_step,
-)
+from .freegroup import FreeAutomorphism, compose, sanov_basis, sanov_substitute
+from .homology import Matrix, deviation, identity_matrix, j_matrix, mat_add, mat_mul
+from .surface import RELATION_PATTERNS, CurveConfig, SurfaceSpec, pair_relation
 
 _TOKEN = re.compile(r"^([A-Za-z][A-Za-z0-9]*)(?:\^(-?\d+))?$")
 
@@ -158,22 +146,23 @@ class TwistWord:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MappingClass:
-    """The class key (rho o phi, D) of a twist word, and its (curve,
-    exponent) factors.
+    """A mapping class as the (curve, exponent) factors of its word,
+    rightmost acting first; every invariant is derived from them when
+    first read, and kept.
 
     Without rho o phi, D alone is a necessary invariant only, and
-    equality tests refuse to run on it.
+    ``equal_classes`` refuses to run on it.
     """
 
     surface: SurfaceSpec
-    key: tuple
-    twists: tuple[tuple[CurveConfig, int], ...] = field(compare=False, repr=False)
+    twists: tuple[tuple[CurveConfig, int], ...]
 
-    @property
+    @cached_property
     def D(self) -> Matrix:
-        return self.key[1]
+        """The deviation, folded from the factors (``homology.deviation``)."""
+        return deviation(self.surface, self.twists)
 
     @property
     def M(self) -> Matrix:
@@ -186,7 +175,28 @@ class MappingClass:
 
     @property
     def linear_only(self) -> bool:
-        return self.key[0] is None
+        return any(cfg.aut is None for cfg, _ in self.twists)
+
+    @cached_property
+    def rho(self) -> tuple | None:
+        """rho o phi on the generators; None when linear only.
+
+        An entry c^e reads the images of tau_c^+-1 through rho |e|
+        times, so no power of tau_c is built.
+        """
+        if self.linear_only:
+            return None
+        rho = sanov_basis(self.surface.rank)
+        for cfg, exp in self.twists:
+            images = cfg.aut.images if exp > 0 else cfg.aut.inverse_images
+            for _ in range(abs(exp)):
+                rho = sanov_substitute(rho, images)
+        return rho
+
+    @property
+    def key(self) -> tuple:
+        """The class key (rho o phi, D) (``surface.right_compose``)."""
+        return self.rho, self.D
 
     @cached_property
     def exact(self) -> FreeAutomorphism | None:
@@ -197,53 +207,17 @@ class MappingClass:
         return reduce(compose, auts, FreeAutomorphism.identity(self.surface.rank))
 
 
-def _fold(start: MappingClass, twists) -> MappingClass:
-    """The class of ``start``'s word followed by ``twists``.
-
-    An entry c^e reads the images of tau_c^+-1 (``surface.twist_step``)
-    through rho |e| times, then updates D once with e p, exact as
-    p . Jh = 0 (``homology.append_twist``); no power of tau_c is built.
-    Once a curve has no automorphism, only D is folded.
-    """
-    genus = start.surface.genus
-    rho, d = start.key
-    for cfg, exp in twists:
-        if rho is None or cfg.aut is None:
-            rho = None
-            d = append_twist(d, nonzero(cfg.h[:2 * genus]), cfg.h, nonzero(cfg.p, exp))
-            continue
-        images, jh, h, p = twist_step(cfg, genus, 1 if exp > 0 else -1)
-        for _ in range(abs(exp)):
-            rho = sanov_substitute(rho, images)
-        d = append_twist(d, jh, h, p if exp in (1, -1) else nonzero(cfg.p, exp))
-    return MappingClass(start.surface, (rho, d), start.twists + twists)
-
-
-def identity_class(surface: SurfaceSpec) -> MappingClass:
-    return MappingClass(surface, identity_key(surface.rank), ())
-
-
 def evaluate(word: TwistWord) -> MappingClass:
-    """Fold the class key of a word, rightmost letter acting first."""
-    twists = tuple((word.catalog[name], exp) for name, exp in word.entries)
-    return _fold(identity_class(word.surface), twists)
-
-
-def compose_classes(a: MappingClass, b: MappingClass) -> MappingClass:
-    """The class of the concatenated word (b's word acting first)."""
-    if a.surface != b.surface:
-        raise ValueError("classes live on different surfaces")
-    return _fold(a, b.twists)
-
-
-def invert_class(a: MappingClass) -> MappingClass:
-    inverse = tuple((cfg, -exp) for cfg, exp in reversed(a.twists))
-    return _fold(identity_class(a.surface), inverse)
+    """The class of a word, its factors looked up in the word's catalog."""
+    return MappingClass(
+        word.surface, tuple((word.catalog[name], exp) for name, exp in word.entries)
+    )
 
 
 def equal_classes(a: MappingClass, b: MappingClass) -> bool:
     """Exact equality of mapping classes, decided on the class keys; see
-    the module docstring for why both of their parts are needed."""
+    the module docstring for why both of their parts are needed.  D is
+    compared first, and rho o phi is read only when the two D agree."""
     if a.surface != b.surface:
         raise ValueError("cannot compare classes on different surfaces")
     if a.linear_only or b.linear_only:
@@ -251,7 +225,7 @@ def equal_classes(a: MappingClass, b: MappingClass) -> bool:
             "equality undecidable from linear data alone; "
             "the word involves a curve without an exact automorphism"
         )
-    return a.key == b.key
+    return a.D == b.D and a.rho == b.rho
 
 
 def boundary_exponent_delta(word: TwistWord, i: int, j: int) -> int:

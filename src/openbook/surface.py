@@ -21,7 +21,7 @@ Conventions, fixed once and locked by the homology outputs downstream:
   derives every homology action from h and p.
 * Classes are keyed exactly by (rho o phi, D) (``right_compose``);
   ``pair_relation`` decides on these keys which twists commute or braid,
-  and ``mcg.evaluate`` and the search fold the same keys.
+  and ``mcg.MappingClass`` and the search fold the same keys.
 * ``stabilize`` is one rule for every boundary index: each curve's twist
   is carried to the new page by the basis change, zero-extended, or
   replaced by a conjugation.  These are built trusted, on first read:

@@ -177,6 +177,14 @@ def test_search_found(capsys):
     )
     assert (code, out) == (0, "found: a\n")
 
+    # the identity's least factorisation is the empty word, named as such;
+    # --json keeps the empty rendering
+    for target in ("", "a a^-1"):
+        args = ("search", "--surface", "sigma12", "--target", target, "--alphabet", "a")
+        assert run(capsys, *args) == (0, "found: (empty word)\n", "")
+        code, out, _ = run(capsys, *args, "--json")
+        assert (code, json.loads(out)) == (0, {"found": ""})
+
 
 def test_search_exhausted(capsys):
     # the weights force length 12 (twelve nonseparating twists make the

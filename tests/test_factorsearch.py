@@ -19,7 +19,6 @@ from openbook.mcg import (
     TwistWord,
     applicable_moves,
     apply_relation,
-    compose_classes,
     equal_classes,
     evaluate,
 )

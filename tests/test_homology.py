@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -385,7 +386,7 @@ def test_h1_of_open_book_folds_the_class_key_d(monkeypatch):
                 entries.append((name, rng.choice((-3, -2, -1, 1, 2, 3))))
             word = TwistWord(spec, catalog, tuple(entries))
             group = h1_of_open_book(OpenBook.standard(spec, word))
-            d = evaluate(word).key[1]
+            d = evaluate(word).D
             assert seen.pop() == d == _old_fold(spec, word)
             assert group == cokernel(d)
             assert (group.free_rank, group.torsion) == (
@@ -399,3 +400,12 @@ def test_h1_of_open_book_folds_the_class_key_d(monkeypatch):
         group = h1_of_open_book(ob)
         assert seen.pop() == _old_fold(ob.surface, ob.word)
         assert str(group) == ("Z/%d" % abs(r.numerator))
+
+
+def test_h1_of_open_book_needs_pairing_data():
+    # a duck-typed book whose word names a curve its catalog lacks
+    spec, catalog = load_builtin("sigma12")
+    partial = {n: c for n, c in catalog.items() if n != "g"}
+    word = SimpleNamespace(catalog=partial, entries=(("a", 1), ("g", -1), ("b", 2)))
+    with pytest.raises(ValueError, match="^no pairing data for curve 'g'$"):
+        h1_of_open_book(SimpleNamespace(surface=spec, word=word))

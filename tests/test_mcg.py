@@ -8,18 +8,21 @@ from hypothesis import strategies as st
 
 from openbook import freegroup, mcg
 from openbook.freegroup import FreeAutomorphism, compose, sanov_basis, sanov_substitute
-from openbook.homology import compose_linear, invert_linear, twist_data, zero_matrix
+from openbook.homology import (
+    compose_linear,
+    h1_of_open_book,
+    invert_linear,
+    twist_data,
+    zero_matrix,
+)
 from openbook.mcg import (
     MappingClass,
     TwistWord,
     applicable_moves,
     apply_relation,
     boundary_exponent_delta,
-    compose_classes,
     equal_classes,
     evaluate,
-    identity_class,
-    invert_class,
     rename_word,
 )
 from openbook.surface import (
@@ -117,21 +120,24 @@ def test_evaluate_golden():
     assert not cls.linear_only
 
     ident = evaluate(TwistWord.parse(spec, catalog, ""))
-    assert equal_classes(ident, identity_class(spec))
+    assert ident.twists == () and ident.key == identity_key(spec.rank)
+    assert ident.exact == FreeAutomorphism.identity(spec.rank)
 
 
 def test_composition_matches_word_concatenation():
+    # a class is its factors: u's factors then v's give the class of the
+    # (normalised) word u v, and u's then u^-1's, uncancelled, the identity
     rng = random.Random(7)
     spec, catalog = load_builtin("sigma12")
+    ident = evaluate(TwistWord.parse(spec, catalog, ""))
     for _ in range(RANDOM_ROUNDS):
         u = random_word(rng, spec, catalog, rng.randint(0, 4))
         v = random_word(rng, spec, catalog, rng.randint(0, 4))
+        cu = evaluate(u)
         lhs = evaluate(u * v)
-        rhs = compose_classes(evaluate(u), evaluate(v))
-        assert equal_classes(lhs, rhs)
-        inv = compose_classes(evaluate(u), invert_class(evaluate(u)))
-        assert equal_classes(inv, identity_class(spec))
-        assert equal_classes(evaluate(u.inverse()), invert_class(evaluate(u)))
+        assert equal_classes(lhs, MappingClass(spec, cu.twists + evaluate(v).twists))
+        inv = MappingClass(spec, cu.twists + evaluate(u.inverse()).twists)
+        assert equal_classes(inv, ident)
 
 
 def test_equal_classes_needs_full_data():
@@ -154,7 +160,10 @@ def test_equal_classes_errors():
     spec1, cat1 = load_builtin("sigma11")
     spec2, cat2 = load_builtin("sigma12")
     with pytest.raises(ValueError, match="surface"):
-        equal_classes(identity_class(spec1), identity_class(spec2))
+        equal_classes(
+            evaluate(TwistWord.parse(spec1, cat1, "")),
+            evaluate(TwistWord.parse(spec2, cat2, "")),
+        )
 
     # a catalog entry without exact data only supports the linear invariants
     result = stabilize(spec2, cat2, 2)
@@ -162,7 +171,7 @@ def test_equal_classes_errors():
     cls = evaluate(TwistWord.parse(result.surface, result.catalog, "s2"))
     assert cls.linear_only
     with pytest.raises(ValueError, match="linear"):
-        equal_classes(cls, identity_class(result.surface))
+        equal_classes(cls, evaluate(TwistWord.parse(result.surface, result.catalog, "")))
 
 
 def test_boundary_exponent_delta():
@@ -398,8 +407,8 @@ def _key_page_words(max_size):
 @given(_key_page_words(4))
 def test_evaluate_folds_the_class_key(drawn):
     # evaluate's key is rho of the images free-group composition gives,
-    # with D; equal_classes, compose_classes and invert_class agree with
-    # comparing and composing those images and D directly
+    # with D; equal_classes, and evaluate of the concatenated and inverse
+    # words, agree with comparing and composing those images and D directly
     index, u_entries, v_entries, rng = drawn
     spec, catalog = _KEY_PAGES[index]
     genus = spec.genus
@@ -420,7 +429,7 @@ def test_evaluate_folds_the_class_key(drawn):
         assert cls.D == d and cls.exact == aut and cls.linear_only == (aut is None)
         if aut is not None:
             assert cls.key == (sanov_substitute(sanov_basis(spec.rank), aut.images), d)
-    uv, inv = compose_classes(cu, cv), invert_class(cu)
+    uv, inv = evaluate(u * v), evaluate(u.inverse())
     assert uv.D == compose_linear([du, dv], genus) and inv.D == invert_linear(du, genus)
     if au is None or av is None:
         with pytest.raises(ValueError, match="linear"):
@@ -450,11 +459,37 @@ def test_evaluate_builds_no_automorphism(monkeypatch):
     one, two = cls("a b g^-1 d1 d2^4"), cls("a b g^-1 d1 d2^5")
     assert not equal_classes(one, two)
     assert equal_classes(cls("d1 d2 e^2"), cls("s1 s2 s3"))
-    assert equal_classes(cls("a b a"), compose_classes(cls("b a"), cls("b")))
+    assert equal_classes(cls("a b a"), cls("b a b"))
     with pytest.raises(AssertionError, match="built"):
         one.exact
     monkeypatch.undo()
     assert one.exact is one.exact and one.exact == two.exact
+
+
+def test_invariants_read_only_what_they_need(monkeypatch):
+    # D, M and linear_only, H1 and an equality whose D differ fold no rho;
+    # rho o phi is folded on first read, when the two D agree, and kept
+    def refuse(*args):
+        raise AssertionError("folded rho")
+
+    monkeypatch.setattr(mcg, "sanov_substitute", refuse)
+
+    def cls(text):
+        return evaluate(TwistWord.parse(SIGMA12_SPEC, SIGMA12, text))
+
+    text = "a b g^-1 d1 d2^4"
+    one = cls(text)
+    assert one.D == ((-1, 1, 0), (-1, 0, 0), (0, 0, 5))
+    assert one.M == ((0, 1, 0), (-1, 1, 0), (0, 0, 1))
+    assert not one.linear_only
+    book = OpenBook.standard(SIGMA12_SPEC, TwistWord.parse(SIGMA12_SPEC, SIGMA12, text))
+    assert str(h1_of_open_book(book)) == "Z/5"
+    assert not equal_classes(one, cls("a b g^-1 d1 d2^5"))
+    lantern, stars = cls("d1 d2 e^2"), cls("s1 s2 s3")
+    with pytest.raises(AssertionError, match="folded rho"):
+        equal_classes(lantern, stars)
+    monkeypatch.undo()
+    assert equal_classes(lantern, stars) and lantern.rho is lantern.rho
 
 
 def test_evaluate_powers_match_unit_words():

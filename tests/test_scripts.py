@@ -1,7 +1,8 @@
-"""The demos, the lantern derivation tool and the search cost tool run end
-to end."""
+"""The demos, the lantern derivation tool, the search cost tool and the
+surgery depth tool run end to end."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -71,3 +72,10 @@ def test_search_cost_exhausts_every_target():
             "no positive factorisation over this alphabet at any length"
         )
         assert outcome.certificate.nodes > 0
+
+
+def test_surgery_depth_times_every_coefficient():
+    out = run_script(ROOT / "tools" / "surgery_depth.py")
+    seconds = json.loads(out)
+    assert list(seconds) == ["-60", "-120", "-240", "-480"]
+    assert all(isinstance(s, float) and s >= 0 for s in seconds.values())

@@ -5,83 +5,62 @@ surface, push rational surgeries through stabilisations into new twist
 words, decide mapping-class equality exactly, read off first homology of
 the resulting closed manifold, and search for (or obstruct) positive
 factorisations.
+
+The names below are loaded with their module on first read (PEP 562),
+so ``import openbook`` alone loads no layer.
 """
 
-from openbook.factorsearch import (
-    SearchOutcome,
-    SearchProblem,
-    search_positive,
-    verify_factorisation,
-    word_weights,
-)
-from openbook.freegroup import FreeAutomorphism
-from openbook.homology import AbelianGroup, cokernel, h1_of_open_book, smith_normal_form
-from openbook.kirby import (
-    FramedLinkPresentation,
-    SeifertData,
-    blow_down,
-    h1_of_link,
-    presentation_matrix,
-    rational_to_chain,
-    seifert_presentation,
-)
-from openbook.mcg import (
-    MappingClass,
-    TwistWord,
-    apply_relation,
-    boundary_exponent_delta,
-    equal_classes,
-    evaluate,
-)
-from openbook.surface import (
-    CurveConfig,
-    SurfaceSpec,
-    load_builtin,
-    stabilize,
-    validate_catalog,
-)
-from openbook.surgery import (
-    OpenBook,
-    admissible_surgery,
-    inadmissible_surgery,
-    neg_continued_fraction,
-    surgery,
-)
+import importlib
+import sys
+from types import ModuleType
 
-__all__ = [
-    "AbelianGroup",
-    "CurveConfig",
-    "FramedLinkPresentation",
-    "FreeAutomorphism",
-    "MappingClass",
-    "OpenBook",
-    "SearchOutcome",
-    "SearchProblem",
-    "SeifertData",
-    "SurfaceSpec",
-    "TwistWord",
-    "admissible_surgery",
-    "apply_relation",
-    "blow_down",
-    "boundary_exponent_delta",
-    "cokernel",
-    "equal_classes",
-    "evaluate",
-    "h1_of_link",
-    "h1_of_open_book",
-    "inadmissible_surgery",
-    "load_builtin",
-    "neg_continued_fraction",
-    "presentation_matrix",
-    "rational_to_chain",
-    "search_positive",
-    "seifert_presentation",
-    "smith_normal_form",
-    "stabilize",
-    "surgery",
-    "validate_catalog",
-    "verify_factorisation",
-    "word_weights",
-]
+# the module that defines each exported name
+_HOMES = {
+    "factorsearch": (
+        "SearchOutcome", "SearchProblem", "search_positive",
+        "verify_factorisation", "word_weights",
+    ),
+    "freegroup": ("FreeAutomorphism",),
+    "homology": ("AbelianGroup", "cokernel", "h1_of_open_book", "smith_normal_form"),
+    "kirby": (
+        "FramedLinkPresentation", "SeifertData", "blow_down", "h1_of_link",
+        "neg_continued_fraction", "presentation_matrix", "rational_to_chain",
+        "seifert_presentation",
+    ),
+    "mcg": (
+        "MappingClass", "TwistWord", "apply_relation", "boundary_exponent_delta",
+        "equal_classes", "evaluate",
+    ),
+    "surface": ("CurveConfig", "SurfaceSpec", "load_builtin", "stabilize", "validate_catalog"),
+    "surgery": ("OpenBook", "admissible_surgery", "inadmissible_surgery", "surgery"),
+}
+_EXPORTS = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(ModuleType):
+    """Importing a submodule binds it to the package attribute of its
+    name.  ``surgery`` names both a submodule and an exported function;
+    the function keeps the name whichever loads first."""
+
+    def __setattr__(self, name, value):
+        if not (name in _EXPORTS and isinstance(value, ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -27,19 +27,6 @@ from __future__ import annotations
 import json
 import sys
 
-from .factorsearch import SearchProblem, search_positive, word_weights
-from .homology import h1_of_open_book
-from .kirby import (
-    FramedLinkPresentation,
-    SeifertData,
-    blow_down,
-    h1_of_link,
-    seifert_presentation,
-)
-from .mcg import TwistWord, equal_classes, evaluate
-from .surface import catalog_from_json, load_builtin, validate_catalog
-from .surgery import OpenBook, neg_continued_fraction, parse_rational, surgery
-
 
 class UsageError(ValueError):
     pass
@@ -98,6 +85,8 @@ def _load(flags, *word_flags, validate: bool = True):
     words of ``word_flags`` on it, each the identity when absent.  A
     config page must pass its catalog checks unless ``validate`` is
     false."""
+    from .surface import catalog_from_json, load_builtin, validate_catalog
+
     name, path = flags.get("--surface"), flags.get("--config")
     if (name is None) == (path is None):
         raise UsageError("need exactly one of --surface and --config")
@@ -115,16 +104,24 @@ def _load(flags, *word_flags, validate: bool = True):
             if not report.ok:
                 failing = ", ".join(c.name for c in report.failing())
                 raise UsageError(f"config validation failed: {failing}")
+    if not word_flags:
+        return spec, catalog
+    from .mcg import TwistWord
+
     words = [TwistWord.parse(spec, catalog, flags.get(f, "")) for f in word_flags]
     return (spec, catalog, *words)
 
 
 def _cmd_cf(flags, text):
+    from .kirby import neg_continued_fraction, parse_rational
+
     cf = neg_continued_fraction(parse_rational(text))
     return [cf.display()], {"entries": list(cf.entries), "display": cf.display()}
 
 
 def _cmd_surgery(flags):
+    from .surgery import OpenBook, parse_rational, surgery
+
     spec, _, word = _load(flags, "--word")
     book = OpenBook.standard(spec, word)
     out = surgery(book, flags["--K"], parse_rational(flags["--r"]), flags.get("--n"))
@@ -139,12 +136,17 @@ def _cmd_surgery(flags):
 
 
 def _cmd_h1(flags):
+    from .homology import h1_of_open_book
+    from .surgery import OpenBook
+
     spec, _, word = _load(flags, "--word")
     group = h1_of_open_book(OpenBook.standard(spec, word))
     return [f"H1: {group}"], {"h1": str(group)}
 
 
 def _cmd_eval(flags):
+    from .mcg import evaluate
+
     spec, _, word = _load(flags, "--word")
     cls = evaluate(word)
     lines = []
@@ -167,12 +169,16 @@ def _cmd_eval(flags):
 
 
 def _cmd_equal(flags):
+    from .mcg import equal_classes, evaluate
+
     _, _, a, b = _load(flags, "--word1", "--word2")
     verdict = equal_classes(evaluate(a), evaluate(b))
     return [f"equal: {'true' if verdict else 'false'}"], {"equal": verdict}
 
 
 def _cmd_search(flags):
+    from .factorsearch import SearchProblem, search_positive, word_weights
+
     _, _, word = _load(flags, "--target")
     alphabet = tuple(t.strip() for t in flags["--alphabet"].split(",") if t.strip())
     lines, peeled = [], {}
@@ -200,9 +206,11 @@ def _cmd_search(flags):
     return lines + list(cert.lines()), payload, 2
 
 
-def _present(link: FramedLinkPresentation, sort_key):
+def _present(link, sort_key):
     """The text lines and JSON payload of a framed link and its H1; the
     lines are read off the payload."""
+    from .kirby import h1_of_link
+
     order = sorted(link.labels, key=sort_key)
     coeff = dict(zip(link.labels, link.coefficients))
     pairs = sorted(link.linking.items(), key=lambda kv: (sort_key(kv[0][0]), sort_key(kv[0][1])))
@@ -223,6 +231,8 @@ def _present(link: FramedLinkPresentation, sort_key):
 
 
 def _cmd_seifert(flags):
+    from .kirby import SeifertData, parse_rational, seifert_presentation
+
     rs = tuple(parse_rational(t) for t in flags["--rs"].split(","))
     if len(rs) != 3:
         raise UsageError("--rs takes three comma-separated rationals")
@@ -230,6 +240,8 @@ def _cmd_seifert(flags):
 
 
 def _cmd_kirby(flags):
+    from .kirby import FramedLinkPresentation, blow_down, parse_rational
+
     coeffs = tuple(
         parse_rational(t) for t in flags["--coefficients"].split(",") if t.strip()
     )
@@ -257,6 +269,8 @@ def _cmd_kirby(flags):
 
 
 def _cmd_validate(flags):
+    from .surface import validate_catalog
+
     report = validate_catalog(*_load(flags, validate=False))
     payload = {
         "ok": report.ok,

@@ -1,5 +1,6 @@
 """Framed-link presentations: first homology, blow-downs, and the
-standard Seifert and chain pictures.
+standard Seifert and chain pictures, with the negative continued
+fractions that expand a rational framing (and a surgery coefficient).
 
 The presentation matrix of a rationally framed link has rows indexed by
 components: the diagonal entry for component i is the numerator p_i of
@@ -15,7 +16,60 @@ from fractions import Fraction
 from typing import Mapping
 
 from .homology import AbelianGroup, Matrix, cokernel
-from .surgery import neg_continued_fraction
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse "p/q" or "p" into an exact rational."""
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad surgery coefficient {text!r}") from None
+
+
+@dataclass(frozen=True)
+class NegCF:
+    """Negative continued fraction r = c1 - 1/(c2 - 1/(... - 1/ck)),
+    every entry at most -2."""
+
+    entries: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not self.entries or any(c > -2 for c in self.entries):
+            raise ValueError("entries of a negative continued fraction are <= -2")
+
+    def value(self) -> Fraction:
+        # back-substitute acc = c - 1/acc over integers; every intermediate
+        # n/d is already in lowest terms, so no reduction is ever needed
+        n, d = self.entries[-1], 1
+        for c in reversed(self.entries[:-1]):
+            n, d = c * n - d, n
+        return Fraction(n, d)
+
+    def display_entries(self) -> tuple[int, ...]:
+        """Entries in surgery-instruction form: the leading entry is
+        split as (c1 - 1) + 1, reflecting that the first twist block
+        starts from the unstabilised page."""
+        return (self.entries[0] - 1,) + self.entries[1:]
+
+    def display(self) -> str:
+        first, *rest = self.display_entries()
+        return "[" + ", ".join([f"{first}+1"] + [str(c) for c in rest]) + "]^-"
+
+
+def neg_continued_fraction(r: Fraction) -> NegCF:
+    """Greedy expansion of r < -1 with all entries <= -2."""
+    if r >= -1:
+        raise ValueError(f"negative continued fraction needs r < -1, got {r}")
+    p, q = r.numerator, r.denominator
+    entries = []
+    while True:
+        c = p // q  # floor
+        entries.append(c)
+        rem = c * q - p  # c - r scaled by q, lies in (-q, 0]
+        if rem == 0:
+            break
+        p, q = -q, -rem  # r <- 1/(c - r), still in lowest terms
+    return NegCF(tuple(entries))
 
 
 def _pair(a: str, b: str) -> tuple[str, str]:

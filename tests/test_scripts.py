@@ -1,5 +1,5 @@
-"""The demos, the lantern derivation tool, the search cost tool and the
-surgery depth tool run end to end."""
+"""The demos, the lantern derivation tool, the search cost tool, the
+surgery depth tool and the start-up cost tool run end to end."""
 
 import importlib.util
 import json
@@ -79,3 +79,21 @@ def test_surgery_depth_times_every_coefficient():
     seconds = json.loads(out)
     assert list(seconds) == ["-60", "-120", "-240", "-480"]
     assert all(isinstance(s, float) and s >= 0 for s in seconds.values())
+
+
+def test_startup_cost_covers_every_readme_example():
+    # one timed run per example; the keys are the README command lines
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "startup_cost.py"), "--reps", "1"],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert {command.split()[0] for command in result} == {
+        "cf", "surgery", "h1", "eval", "equal", "search", "seifert", "kirby", "validate"
+    }
+    for entry in result.values():
+        assert entry["median_s"] > 0
+        assert entry["modules"][0] == "openbook"
+    assert result["cf -5/4"]["modules"] == ["openbook", "openbook.homology", "openbook.kirby"]

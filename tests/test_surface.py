@@ -183,6 +183,29 @@ def test_json_numbers_must_be_integers():
     assert catalog_from_json(text) == (spec, catalog)
 
 
+def test_json_automorphism_letter_limit(tmp_path, capsys):
+    # a curve's images and inverse images together hold at most
+    # MAX_AUT_LETTERS letters; a longer one is refused before the costly
+    # check that the two maps invert each other
+    spec, catalog = load_builtin("sigma11")
+    obj = json.loads(catalog_to_json(spec, catalog))
+    a = next(c for c in obj["curves"] if c["name"] == "a")
+    n = (surface.MAX_AUT_LETTERS - 4) // 2  # y -> y x^n has 2n + 4 letters both ways
+    a["aut"] = {"images": [[1], [2] + [1] * n], "inverse_images": [[1], [2] + [-1] * n]}
+    assert catalog_from_json(json.dumps(obj))[1]["a"].aut.images[1] == (2,) + (1,) * n
+    a["aut"]["images"][0].append(1)  # one letter past the limit, and no inverse
+    with pytest.raises(ValueError) as err:
+        catalog_from_json(json.dumps(obj))
+    assert str(err.value) == (
+        f"curve 'a': bad automorphism: images and inverse_images hold "
+        f"{surface.MAX_AUT_LETTERS + 1} letters; the limit is {surface.MAX_AUT_LETTERS}"
+    )
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(obj))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {err.value}\n")
+
+
 def test_stabilize_matches_builtin():
     # plumbing onto the single boundary component of sigma11 must reproduce
     # the hand-built sigma12 catalog exactly, including the frozen twist data

@@ -136,11 +136,11 @@ def _cmd_surgery(flags):
 
 
 def _cmd_h1(flags):
-    from .homology import h1_of_open_book
-    from .surgery import OpenBook
+    from .homology import cokernel
+    from .mcg import evaluate
 
-    spec, _, word = _load(flags, "--word")
-    group = h1_of_open_book(OpenBook.standard(spec, word))
+    _, _, word = _load(flags, "--word")
+    group = cokernel(evaluate(word).D)
     return [f"H1: {group}"], {"h1": str(group)}
 
 

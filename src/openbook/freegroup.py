@@ -26,24 +26,17 @@ Letters = tuple[int, ...]
 
 
 def reduce_letters(raw: Iterable[int], rank: int | None = None) -> Letters:
-    """Freely reduce a sequence of signed generator indices.
+    """Freely reduce a sequence of signed generator indices (``concat``).
 
-    Adjacent inverse pairs are cancelled (iteratively, via a stack) until
-    none remain; the result is the unique reduced word equal to the input
-    in the free group.  If ``rank`` is given, letters outside
-    ``1..rank`` are rejected.
+    If ``rank`` is given, letters outside ``1..rank`` are rejected.
     """
-    out: list[int] = []
-    for letter in raw:
+    letters = tuple(raw)
+    for letter in letters:
         if letter == 0:
             raise ValueError("0 is not a valid letter")
         if rank is not None and not 1 <= abs(letter) <= rank:
             raise ValueError(f"letter {letter} out of range for rank {rank}")
-        if out and out[-1] == -letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
+    return concat(letters)
 
 
 def invert_letters(letters: Sequence[int]) -> Letters:
@@ -51,7 +44,9 @@ def invert_letters(letters: Sequence[int]) -> Letters:
 
 
 def concat(*parts: Sequence[int]) -> Letters:
-    """Concatenate already-reduced words, reducing across the seams."""
+    """Concatenate words and reduce: adjacent inverse pairs are cancelled
+    through a stack until none remain, giving the unique reduced word
+    equal to the product in the free group."""
     out: list[int] = []
     for part in parts:
         for letter in part:
@@ -70,16 +65,7 @@ def apply_images(images: Sequence[Sequence[int]], letters: Sequence[int]) -> Let
     solver in tools/ builds twist candidates this way before they are
     promoted to validated automorphisms).
     """
-    out: list[int] = []
-    for letter in letters:
-        image = images[abs(letter) - 1]
-        seq = image if letter > 0 else invert_letters(image)
-        for x in seq:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-    return tuple(out)
+    return concat(*(images[x - 1] if x > 0 else invert_letters(images[-x - 1]) for x in letters))
 
 
 def exponent_sums(letters: Sequence[int], rank: int) -> tuple[int, ...]:
@@ -226,15 +212,6 @@ class FreeAutomorphism:
         return cls._trusted(rank, gens, gens)
 
     @classmethod
-    def from_images(
-        cls,
-        rank: int,
-        images: Sequence[Sequence[int]],
-        inverse_images: Sequence[Sequence[int]],
-    ) -> "FreeAutomorphism":
-        return cls(rank, tuple(images), tuple(inverse_images))
-
-    @classmethod
     def conjugation(
         cls, rank: int, word: Sequence[int], moved: Sequence[int]
     ) -> "FreeAutomorphism":
@@ -263,9 +240,6 @@ class FreeAutomorphism:
     def apply(self, letters: Sequence[int]) -> Letters:
         return apply_images(self.images, letters)
 
-    def apply_inverse(self, letters: Sequence[int]) -> Letters:
-        return apply_images(self.inverse_images, letters)
-
     def inverse(self) -> "FreeAutomorphism":
         return FreeAutomorphism._trusted(self.rank, self.inverse_images, self.images)
 
@@ -292,8 +266,8 @@ def compose(f: FreeAutomorphism, g: FreeAutomorphism) -> FreeAutomorphism:
     """The automorphism f o g (g acts first)."""
     if f.rank != g.rank:
         raise ValueError(f"rank mismatch: {f.rank} vs {g.rank}")
-    images = tuple(f.apply(w) for w in g.images)
-    inverse_images = tuple(g.apply_inverse(w) for w in f.inverse_images)
+    images = tuple(apply_images(f.images, w) for w in g.images)
+    inverse_images = tuple(apply_images(g.inverse_images, w) for w in f.inverse_images)
     return FreeAutomorphism._trusted(f.rank, images, inverse_images)
 
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import eq
 from typing import Iterable, Iterator, Mapping
 
 from .freegroup import FreeAutomorphism, compose, sanov_basis, sanov_substitute
@@ -55,14 +54,6 @@ def _normalize(entries: Iterable[tuple[str, int]]) -> Entries:
     return tuple(out)
 
 
-def _check_entries(catalog: Mapping[str, CurveConfig], entries: Entries) -> None:
-    for name, exp in entries:
-        if name not in catalog:
-            raise ValueError(f"unknown curve {name!r} in word")
-        if not isinstance(exp, int):
-            raise ValueError(f"exponent of {name} must be an integer")
-
-
 @dataclass(frozen=True)
 class TwistWord:
     """A normalized word in the twists of a surface catalog."""
@@ -73,17 +64,12 @@ class TwistWord:
 
     def __post_init__(self) -> None:
         entries = _normalize(self.entries)
-        _check_entries(self.catalog, entries)
+        for name, exp in entries:
+            if name not in self.catalog:
+                raise ValueError(f"unknown curve {name!r} in word")
+            if not isinstance(exp, int):
+                raise ValueError(f"exponent of {name} must be an integer")
         object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def _trusted(cls, surface, catalog, entries: Entries) -> "TwistWord":
-        """Wrap entries already normalised and checked against ``catalog``."""
-        word = object.__new__(cls)
-        object.__setattr__(word, "surface", surface)
-        object.__setattr__(word, "catalog", catalog)
-        object.__setattr__(word, "entries", entries)
-        return word
 
     @classmethod
     def parse(
@@ -125,13 +111,6 @@ class TwistWord:
 
     def is_positive(self) -> bool:
         return all(e > 0 for _, e in self.entries)
-
-    def append(self, name: str, exp: int) -> "TwistWord":
-        """The word followed by name^exp; only the last entry and the new
-        one are normalised and checked."""
-        tail = _normalize(self.entries[-1:] + ((name, exp),))
-        _check_entries(self.catalog, tail)
-        return TwistWord._trusted(self.surface, self.catalog, self.entries[:-1] + tail)
 
     def __mul__(self, other: "TwistWord") -> "TwistWord":
         if self.surface != other.surface:
@@ -332,22 +311,3 @@ def applicable_moves(word: TwistWord) -> tuple[tuple[str, int, str], ...]:
     exp = word.expanded()
     return tuple(match[:3] for match in _matches(word, exp, range(len(exp)), _MOVES))
 
-
-def rename_word(
-    word: TwistWord,
-    surface: SurfaceSpec,
-    catalog: Mapping[str, CurveConfig],
-    renames: Mapping[str, str],
-) -> TwistWord:
-    """Carry a word onto a stabilised surface, applying curve renames.
-
-    The word is normalised again only when a rename makes two neighbours
-    equal, and its names are checked against ``catalog`` in one set test
-    (the exponents are already integers)."""
-    entries = tuple((renames.get(n, n), e) for n, e in word.entries)
-    names = [n for n, _ in entries]
-    if any(map(eq, names, names[1:])):
-        entries = _normalize(entries)
-    if not set(names).issubset(catalog):
-        _check_entries(catalog, entries)  # raises unless those names cancelled
-    return TwistWord._trusted(surface, catalog, entries)

@@ -28,8 +28,8 @@ Conventions, fixed once and locked by the homology outputs downstream:
   each is an automorphism whenever the input twist is, and a carried
   twist keeps only its first page's automorphism and the steps (t, z_K)
   since; automorphisms are checked where they enter (the public
-  constructor, ``from_images``, JSON).  Whole curves are carried the same
-  way: a stabilised page's catalog is a read-only ``CarriedCatalog``, in
+  constructor, JSON).  Whole curves are carried the same way: a
+  stabilised page's catalog is a read-only ``CarriedCatalog``, in
   which a stabilisation writes only the curves it changes and every
   other curve is carried through the steps since its last build when it
   is first read; ``dict(catalog)`` gives a mutable copy.
@@ -210,15 +210,11 @@ def _sigma11() -> tuple[SurfaceSpec, Catalog]:
     catalog = {
         "a": CurveConfig(
             "a", (1, 0), (0, 1), (0, 1),
-            aut=FreeAutomorphism.from_images(
-                2, [(1,), (2, 1)], [(1,), (2, -1)]
-            ),
+            aut=FreeAutomorphism(2, [(1,), (2, 1)], [(1,), (2, -1)]),
         ),
         "b": CurveConfig(
             "b", (0, 1), (-1, 0), (-1, 0),
-            aut=FreeAutomorphism.from_images(
-                2, [(1, -2), (2,)], [(1, 2), (2,)]
-            ),
+            aut=FreeAutomorphism(2, [(1, -2), (2,)], [(1, 2), (2,)]),
         ),
         "d": CurveConfig(
             "d", (0, 0), (0, 0), (0, 0),
@@ -243,17 +239,13 @@ def _sigma12() -> tuple[SurfaceSpec, Catalog]:
     spec = SurfaceSpec.standard(1, 2)
     b1 = spec.boundary_words[0]          # (1, 2, -1, -2, -3)
     g_word = (1, 2, -1, -2)              # separating curve around the genus
-    aut_a = FreeAutomorphism.from_images(
-        3, [(1,), (2, 1), (3,)], [(1,), (2, -1), (3,)]
-    )
+    aut_a = FreeAutomorphism(3, [(1,), (2, 1), (3,)], [(1,), (2, -1), (3,)])
     aut_g = FreeAutomorphism.conjugation(3, g_word, (1, 2))
     catalog = {
         "a": CurveConfig("a", (1, 0, 0), (0, 1, 0), (0, 1, 0), aut=aut_a),
         "b": CurveConfig(
             "b", (0, 1, 0), (-1, 0, 0), (-1, 0, 0),
-            aut=FreeAutomorphism.from_images(
-                3, [(1, -2), (2,), (3,)], [(1, 2), (2,), (3,)]
-            ),
+            aut=FreeAutomorphism(3, [(1, -2), (2,), (3,)], [(1, 2), (2,), (3,)]),
         ),
         "g": CurveConfig("g", (0, 0, 0), (0, 0, 0), (0, 0, 0), aut=aut_g),
         "d1": CurveConfig(
@@ -273,11 +265,11 @@ def _sigma12() -> tuple[SurfaceSpec, Catalog]:
         "s1": CurveConfig("s1", (0, 0, 0), (0, 0, 0), (0, 0, 0), aut=aut_g),
         "s2": CurveConfig(
             "s2", (1, 0, -1), (0, 1, 0), (0, 1, -1),
-            aut=FreeAutomorphism.from_images(3, _S2_IMAGES, _S2_INVERSE),
+            aut=FreeAutomorphism(3, _S2_IMAGES, _S2_INVERSE),
         ),
         "s3": CurveConfig(
             "s3", (1, 0, 1), (0, 1, 0), (0, 1, 1),
-            aut=FreeAutomorphism.from_images(3, _S3_IMAGES, _S3_INVERSE),
+            aut=FreeAutomorphism(3, _S3_IMAGES, _S3_INVERSE),
         ),
     }
     return spec, catalog
@@ -954,7 +946,7 @@ def catalog_from_json(text: str) -> tuple[SurfaceSpec, Catalog]:
                         f"images and inverse_images hold {letters} letters; "
                         f"the limit is {MAX_AUT_LETTERS}"
                     )
-                aut = FreeAutomorphism.from_images(surface.rank, images, inverse_images)
+                aut = FreeAutomorphism(surface.rank, images, inverse_images)
             except (KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"curve {name!r}: bad automorphism: {e}") from None
         if name in catalog:

@@ -2,7 +2,14 @@
 
 Admissible surgery (coefficient r < -1) is realised by a sequence of
 positive stabilisations followed by positive boundary-parallel twists,
-one block per entry of the negative continued fraction of r.
+one block per entry of the negative continued fraction of r.  The
+steps carry plain data: the page (surface, catalog), the word's
+(name, exponent) entries, the binding labels and the position of the
+surgered binding.  A stabilisation renames the entries by its
+``renames`` and appends its twist; a block appends the boundary-parallel
+twist.  One checked ``TwistWord`` and ``OpenBook`` are built at the end:
+free reduction is confluent, so normalising once gives the entries that
+normalising after every step would, and names are checked after it.
 Inadmissible surgery (r > 0) first inserts n negative boundary-parallel
 twists, converting the problem to an admissible one with coefficient
 p/(q - n*p).  The continued fractions and ``parse_rational`` live in
@@ -18,7 +25,7 @@ from itertools import count, filterfalse
 from typing import Iterator
 
 from .kirby import NegCF, neg_continued_fraction, parse_rational
-from .mcg import TwistWord, rename_word
+from .mcg import TwistWord
 from .surface import SurfaceSpec, boundary_parallel_curve, stabilize
 
 
@@ -65,29 +72,10 @@ def _fresh_labels(bindings: tuple[str, ...]) -> Iterator[str]:
     return filterfalse(set(bindings).__contains__, map(str, count(1)))
 
 
-def _stabilize_book(
-    ob: OpenBook, position: int, fresh: str
-) -> tuple[OpenBook, int]:
-    """One positive stabilisation at a boundary position.  Appends the
-    stabilisation twist to the monodromy and rethreads binding labels,
-    labelling the fresh binding ``fresh``; returns the new book and the
-    position where the surgered binding continues."""
-    res = stabilize(ob.surface, ob.word.catalog, position)
-    word = rename_word(ob.word, res.surface, res.catalog, res.renames)
-    word = word.append(res.stab_curve, 1)
-    old = ob.bindings
-    if position == 1:
-        # the old first binding continues at the far end; the fresh
-        # boundary takes its place
-        labels = (fresh,) + old[1:] + (old[0],)
-    else:
-        labels = old + (fresh,)
-    return OpenBook(res.surface, word, labels), res.k_index
-
-
 def admissible_surgery(ob: OpenBook, binding: str, r: Fraction) -> OpenBook:
     """Admissible transverse surgery with coefficient r < -1 on the
-    named binding component."""
+    named binding component; the module docstring says what the steps
+    carry."""
     if r >= -1:
         raise ValueError(
             f"admissible surgery needs r < -1, got {r}; "
@@ -95,12 +83,22 @@ def admissible_surgery(ob: OpenBook, binding: str, r: Fraction) -> OpenBook:
         )
     position = ob.binding_index(binding)
     fresh = _fresh_labels(ob.bindings)
+    surface, catalog, labels = ob.surface, ob.word.catalog, ob.bindings
+    entries = list(ob.word.entries)
     for entry in neg_continued_fraction(r).display_entries():
         for _ in range(abs(entry + 2)):
-            ob, position = _stabilize_book(ob, position, next(fresh))
-        curve = boundary_parallel_curve(ob.word.catalog, position)
-        ob = OpenBook(ob.surface, ob.word.append(curve, 1), ob.bindings)
-    return ob
+            res = stabilize(surface, catalog, position)
+            entries = [(res.renames.get(n, n), e) for n, e in entries]
+            entries.append((res.stab_curve, 1))
+            if position == 1:
+                # the old first binding continues at the far end; the
+                # fresh boundary takes its place
+                labels = (next(fresh),) + labels[1:] + (labels[0],)
+            else:
+                labels += (next(fresh),)
+            surface, catalog, position = res.surface, res.catalog, res.k_index
+        entries.append((boundary_parallel_curve(catalog, position), 1))
+    return OpenBook(surface, TwistWord(surface, catalog, tuple(entries)), labels)
 
 
 def inadmissible_surgery(
@@ -125,7 +123,8 @@ def inadmissible_surgery(
         )
     position = ob.binding_index(binding)
     curve = boundary_parallel_curve(ob.word.catalog, position)
-    twisted = OpenBook(ob.surface, ob.word.append(curve, -n), ob.bindings)
+    word = TwistWord(ob.surface, ob.word.catalog, ob.word.entries + ((curve, -n),))
+    twisted = OpenBook(ob.surface, word, ob.bindings)
     return admissible_surgery(twisted, binding, residual)
 
 

@@ -27,7 +27,6 @@ from openbook.mcg import (
     boundary_exponent_delta,
     equal_classes,
     evaluate,
-    rename_word,
 )
 from openbook.factorsearch import SearchProblem, search_positive, verify_factorisation
 from openbook.surface import (
@@ -238,8 +237,9 @@ def test_criterion_11_stabilisation_invariance():
             before = h1_of_open_book(OpenBook.standard(spec, word))
             position = rng.randint(1, spec.boundary)
             result = stabilize(spec, catalog, position)
-            moved = rename_word(word, result.surface, result.catalog, result.renames)
             fresh = 1 if position == 1 else result.surface.boundary
-            moved = moved.append(boundary_parallel_curve(result.catalog, fresh), 1)
+            entries = tuple((result.renames.get(n, n), e) for n, e in word.entries)
+            entries += ((boundary_parallel_curve(result.catalog, fresh), 1),)
+            moved = TwistWord(result.surface, result.catalog, entries)
             after = h1_of_open_book(OpenBook.standard(result.surface, moved))
             assert before == after

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -25,6 +26,8 @@ from openbook.mcg import (
 from openbook.surface import (
     CurveConfig,
     SurfaceSpec,
+    catalog_from_json,
+    catalog_to_json,
     identity_key,
     load_builtin,
     right_compose,
@@ -389,6 +392,24 @@ def test_weight_prune_certifies_every_length():
     plain = search_positive(SearchProblem(word, alphabet, 5), prune=False)
     assert not plain.found and not plain.certificate.any_length
     assert dict(plain.certificate.prunes)["weight"] == 0
+
+    # a weightless letter repeats a level, which then stands for every
+    # longer length: x, a trivial curve with the identity twist, keeps
+    # the weights (0, 12) of d2 out of reach, and a^2 is found unpruned too
+    page = json.loads(catalog_to_json(spec, catalog))
+    identity = {"images": [[1], [2], [3]], "inverse_images": [[1], [2], [3]]}
+    page["curves"].append({"name": "x", "h": [0, 0, 0], "q": [0, 0, 0], "p": [0, 0, 0],
+                           "aut": identity})
+    spec_x, catalog_x = catalog_from_json(json.dumps(page))
+    d2, a2 = (
+        SearchProblem(TwistWord.parse(spec_x, catalog_x, text), ("x", "a"), 4)
+        for text in ("d2", "a^2")
+    )
+    outcome = search_positive(d2)
+    assert outcome.certificate.any_length and outcome.certificate.nodes == 0
+    assert dict(outcome.certificate.prunes)["weight"] == 5
+    assert not search_positive(d2, prune=False).found
+    assert str(search_positive(a2).word) == str(search_positive(a2, prune=False).word) == "a^2"
 
     # a letter of undecided weight switches the cut off (g3 of the
     # four-holed page bounds {2, 3} or {1, 4}, and h cannot tell which)

@@ -72,23 +72,28 @@ def test_exponent_sums_and_cyclic():
     assert are_conjugate((1, 2), (2, 1))
     assert not are_conjugate((1,), (2,))
     assert are_conjugate((-1, 2, 1), (2,))
+    assert not are_conjugate((1, 2), (1,))
+    assert are_conjugate((1, -1), ())
 
 
 def test_automorphism_validation():
     # x -> xy needs inverse x -> xy^-1
-    aut = FreeAutomorphism.from_images(2, ((1, 2), (2,)), ((1, -2), (2,)))
+    aut = FreeAutomorphism(2, ((1, 2), (2,)), ((1, -2), (2,)))
     assert aut.apply((1,)) == (1, 2)
-    assert aut.apply_inverse((1,)) == (1, -2)
+    assert aut.inverse().apply((1,)) == (1, -2)
     with pytest.raises(ValueError):
-        FreeAutomorphism.from_images(2, ((1, 2), (2,)), ((1,), (2,)))
+        FreeAutomorphism(2, ((1, 2), (2,)), ((1,), (2,)))
     # the public constructor is a trust boundary too
     with pytest.raises(ValueError, match="do not invert"):
         FreeAutomorphism(2, ((1, 2), (2,)), ((1, 2), (2,)))
+    # images o inverse_images fixes x1 here, inverse_images o images does not
+    with pytest.raises(ValueError, match="inverse_images do not invert images at x1"):
+        FreeAutomorphism(2, ((2,), (1,)), ((2,), (2,)))
     with pytest.raises(ValueError, match="one image per generator"):
         FreeAutomorphism(2, ((1, 2), (2,)), ((1, -2),))
     # an endomorphism that kills a generator is rejected even as its own inverse
     with pytest.raises(ValueError):
-        FreeAutomorphism.from_images(2, ((1,), (1,)), ((1,), (1,)))
+        FreeAutomorphism(2, ((1,), (1,)), ((1,), (1,)))
 
 
 def test_inner_automorphism():
@@ -97,6 +102,8 @@ def test_inner_automorphism():
     assert inner.apply((1,)) == reduce_letters((-2, -1, 1, 1, 2))
     assert inner.abelianize() == ((1, 0), (0, 1))
     assert compose(inner, inner.inverse()).is_identity()
+    with pytest.raises(ValueError, match="rank mismatch: 2 vs 3"):
+        compose(inner, FreeAutomorphism.identity(3))
 
 
 def test_trusted_conjugation_rebuilds():
@@ -115,6 +122,9 @@ def test_trusted_conjugation_rebuilds():
         assert inner == FreeAutomorphism(rank, inner.images, inner.inverse_images)
     with pytest.raises(ValueError, match="does not move"):
         FreeAutomorphism.conjugation(3, (1, 3), (1, 2))
+    # a deferred automorphism builds its tables only for their own names
+    with pytest.raises(AttributeError, match="no_such_table"):
+        FreeAutomorphism.inner(2, (1,)).no_such_table
 
 
 def test_trusted_automorphism_is_as_compact_as_a_validated_one():
@@ -140,8 +150,8 @@ def test_trusted_automorphism_is_as_compact_as_a_validated_one():
 
 def test_compose_order():
     # compose(f, g) applies g first
-    f = FreeAutomorphism.from_images(2, ((1, 2), (2,)), ((1, -2), (2,)))
-    g = FreeAutomorphism.from_images(2, ((1,), (2, 1)), ((1,), (2, -1)))
+    f = FreeAutomorphism(2, ((1, 2), (2,)), ((1, -2), (2,)))
+    g = FreeAutomorphism(2, ((1,), (2, 1)), ((1,), (2, -1)))
     fg = compose(f, g)
     assert fg.apply((1,)) == f.apply(g.apply((1,)))
     assert fg.apply((2,)) == f.apply(g.apply((2,)))
@@ -150,10 +160,10 @@ def test_compose_order():
 def test_compose_properties_random():
     rng = random.Random(2024)
     basis = [
-        FreeAutomorphism.from_images(3, ((1, 2), (2,), (3,)), ((1, -2), (2,), (3,))),
-        FreeAutomorphism.from_images(3, ((1,), (2, 3), (3,)), ((1,), (2, -3), (3,))),
+        FreeAutomorphism(3, ((1, 2), (2,), (3,)), ((1, -2), (2,), (3,))),
+        FreeAutomorphism(3, ((1,), (2, 3), (3,)), ((1,), (2, -3), (3,))),
         FreeAutomorphism.inner(3, (1, 2, -3)),
-        FreeAutomorphism.from_images(3, ((2,), (1,), (3,)), ((2,), (1,), (3,))),
+        FreeAutomorphism(3, ((2,), (1,), (3,)), ((2,), (1,), (3,))),
     ]
     for _ in range(RANDOM_ROUNDS):
         f, g, h = (rng.choice(basis) ** rng.randint(-2, 2) for _ in range(3))
@@ -162,13 +172,13 @@ def test_compose_properties_random():
         w = random_letters(rng, 3)
         # automorphisms respect multiplication and inversion
         assert f.apply(invert_letters(w)) == invert_letters(f.apply(w))
-        assert f.apply_inverse(f.apply(w)) == reduce_letters(w)
+        assert f.inverse().apply(f.apply(w)) == reduce_letters(w)
 
 
 def test_abelianize_matches_exponent_action():
     rng = random.Random(5)
     f = compose(
-        FreeAutomorphism.from_images(2, ((1, 2), (2,)), ((1, -2), (2,))),
+        FreeAutomorphism(2, ((1, 2), (2,)), ((1, -2), (2,))),
         FreeAutomorphism.inner(2, (2, 1)),
     )
     m = f.abelianize()
@@ -183,7 +193,7 @@ def test_abelianize_matches_exponent_action():
 
 
 def test_pow():
-    f = FreeAutomorphism.from_images(2, ((1, 2), (2,)), ((1, -2), (2,)))
+    f = FreeAutomorphism(2, ((1, 2), (2,)), ((1, -2), (2,)))
     assert (f ** 3).apply((1,)) == (1, 2, 2, 2)
     assert (f ** -1) == f.inverse()
     assert (f ** 0).is_identity()
@@ -222,7 +232,7 @@ def test_sanov_is_faithful(u, v):
     assert ruv == _sl2_mul(ru, rv)
     assert rinv == (d, -b, -c, a)
     # reading words through rho o phi is rho of their images under phi
-    phi = FreeAutomorphism.from_images(
+    phi = FreeAutomorphism(
         3, [(1,), (2, 1), (3, 2)], [(1,), (2, -1), (3, 1, -2)]
     )
     key = sanov_substitute(basis, phi.images)

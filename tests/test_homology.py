@@ -51,6 +51,8 @@ def test_smith_normal_form_examples():
     assert divisors == (1, 5) and rank == 2
     assert smith_normal_form(((0, 0), (0, 0))) == ((), 0)
     assert smith_normal_form(()) == ((), 0)
+    with pytest.raises(ValueError, match="ragged matrix"):
+        smith_normal_form(((1, 2), (3,)))
 
 
 def test_smith_normal_form_against_oracle():

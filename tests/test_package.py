@@ -50,13 +50,15 @@ def test_import_loads_only_the_layers_read():
     [
         (["search", "--surface", "sigma12", "--target", "d1 d2 e^2",
           "--alphabet", "s1,s2,s3", "--max-length", "3"], {"kirby", "surgery"}),
+        (["h1", "--surface", "sigma12", "--word", "a b g^-1 d1 d2^4"],
+         {"kirby", "surgery", "factorsearch"}),
         (["cf", "-5/4"], {"mcg", "surface", "surgery", "factorsearch"}),
         (["seifert", "--e0", "-1", "--rs", "1/2,1/3,1/4"],
          {"mcg", "surface", "surgery", "factorsearch"}),
         (["kirby", "--coefficients", "2,-1", "--link", "1-2:3"],
          {"mcg", "surface", "surgery", "factorsearch"}),
     ],
-    ids=["search", "cf", "seifert", "kirby"],
+    ids=["search", "h1", "cf", "seifert", "kirby"],
 )
 def test_cli_commands_load_only_their_layers(argv, absent):
     loaded = fresh(f"from openbook import cli; cli.main({argv!r}); " + LOADED)

@@ -1,5 +1,6 @@
 """The demos, the lantern derivation tool, the search cost tool, the
-surgery depth tool and the start-up cost tool run end to end."""
+surgery depth tool, the start-up cost tool and the line coverage tool
+run end to end."""
 
 import importlib.util
 import json
@@ -97,3 +98,23 @@ def test_startup_cost_covers_every_readme_example():
         assert entry["median_s"] > 0
         assert entry["modules"][0] == "openbook"
     assert result["cf -5/4"]["modules"] == ["openbook", "openbook.homology", "openbook.kirby"]
+
+
+def test_line_coverage_reports_lines_never_run():
+    # the README examples under the tracer: cli.main runs, and the check
+    # of --rs, which no example trips, never does
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "line_coverage.py"),
+         "-q", "-p", "no:cacheprovider", str(ROOT / "tests" / "test_readme.py")],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    missing = json.loads(proc.stdout.splitlines()[-1])
+    package = ROOT / "src" / "openbook"
+    assert set(missing) == {"openbook"} | {f"openbook.{p.stem}" for p in package.glob("[!_]*.py")}
+    source = (package / "cli.py").read_text(encoding="utf-8").splitlines()
+    line = {text: next(i for i, s in enumerate(source, 1) if text in s)
+            for text in ("command = args[0]", "--rs takes three")}
+    assert line["command = args[0]"] not in missing["openbook.cli"]
+    assert line["--rs takes three"] in missing["openbook.cli"]

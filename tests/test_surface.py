@@ -84,6 +84,84 @@ def test_validate_catches_corruption():
     bad["s1"] = dataclasses.replace(catalog["s1"], h=(1, 0, 0))
     assert not validate_catalog(spec, bad).ok
 
+    # a relation curve without an exact automorphism raises
+    bad = dict(catalog)
+    bad["s1"] = dataclasses.replace(catalog["s1"], aut=None)
+    with pytest.raises(ValueError, match="missing automorphism for curve 's1'"):
+        validate_catalog(spec, bad)
+    # the constructor refuses what no check could read
+    with pytest.raises(ValueError, match="curve x: h, q, p lengths differ"):
+        CurveConfig("x", (1, 0), (0, 1), (0, 1, 0))
+    with pytest.raises(ValueError, match="curve x: automorphism rank mismatch"):
+        CurveConfig("x", (1, 0), (0, 1), (0, 1), aut=catalog["a"].aut)
+
+
+_ZERO = {"h": (0, 0, 0), "q": (0, 0, 0), "p": (0, 0, 0)}
+
+# One corruption of a builtin page per check of validate_catalog: (page,
+# curve, fields) and the failing checks with their details.  The fields
+# replace those of a catalog curve, or make a new curve x, which no
+# relation names.  A failing structure check stops the report.
+CORRUPTIONS = {
+    "key-name": ("sigma12", "a", {"name": "x"},
+                 {"structure": "catalog key 'a' holds curve named 'x'"}),
+    "rank": ("sigma12", "a", {"h": (1, 0), "q": (0, 1), "p": (0, 1), "aut": None},
+             {"structure": "curve a: vectors have length 2, want 3"}),
+    "q-Jp": ("sigma12", "a", {"q": (0, 1, 1)}, {"structure": "curve a: q != J p"}),
+    "p-Jh": ("sigma12", "a", {"q": (1, 1, 0), "p": (1, 1, 0)},
+             {"structure": "curve a: p . Jh != 0"}),
+    "boundary-index": ("sigma12", "d2", {"boundary_parallel_to": 3},
+                       {"structure": "curve d2: bad boundary index"}),
+    # b's twist on a's data
+    "transvection": ("sigma12", "x", {
+        "h": (1, 0, 0), "q": (0, 1, 0), "p": (0, 1, 0),
+        "aut": FreeAutomorphism(3, [(1, -2), (2,), (3,)], [(1, 2), (2,), (3,)]),
+    }, {"transvection": "curve x: abelianisation is not I + h q^T"}),
+    # det(I + h q^T) = 1 + q . h, and q = Omega h makes q . h = 0: only a
+    # map that fails the transvection check can fail this one, and no
+    # checked constructor builds x -> x^2
+    "unimodular": ("sigma11", "x", {
+        "h": (0, 0), "q": (0, 0), "p": (0, 0),
+        "aut": FreeAutomorphism._trusted(2, ((1, 1), (2,)), ((1,), (2,))),
+    }, {
+        "transvection": "curve x: abelianisation is not I + h q^T",
+        "unimodular": "curve x: automorphism not unimodular",
+        "boundary_words": "curve x: does not fix the basepoint boundary word",
+    }),
+    "separating_q": ("sigma12", "x", {**_ZERO, "h": (1, 0, 0)},
+                     {"separating_q": "curve x: q != Omega h"}),
+    "boundary_parallel_data": ("sigma12", "d2", {"boundary_parallel_to": 1}, {
+        "boundary_parallel_data": "curve d2: data does not match a curve parallel to boundary 1",
+    }),
+    "boundary-word-1": ("sigma12", "x", {**_ZERO, "aut": FreeAutomorphism.inner(3, (1,))},
+                        {"boundary_words": "curve x: does not fix the basepoint boundary word"}),
+    # z -> z [x, y] takes b_1 to z^-1
+    "boundary-word-2": ("sigma12", "x", {**_ZERO, "aut": FreeAutomorphism(
+        3, [(1,), (2,), (3, 1, 2, -1, -2)], [(1,), (2,), (3, 2, 1, -2, -1)],
+    )}, {"boundary_words": "curve x: does not fix the basepoint boundary word; "
+                           "curve x: moves boundary word 2 off its conjugacy class"}),
+    "chain-automorphisms": ("sigma11", "d", {"aut": FreeAutomorphism.identity(2)},
+                            {"chain": "chain relation fails on automorphisms"}),
+    # d2's linear data on g: D moves, rho does not
+    "chain-linear": ("sigma12", "g", {"h": (0, 0, 1), "p": (0, 0, 1)},
+                     {"chain": "chain relation fails on linear data"}),
+    "lantern-automorphisms": ("sigma12", "s1", {"aut": FreeAutomorphism.identity(3)},
+                              {"lantern": "lantern relation fails on automorphisms"}),
+    "lantern-linear": ("sigma12", "s1", {"h": (0, 0, 1), "p": (0, 0, 1)},
+                       {"lantern": "lantern relation fails on linear data"}),
+}
+
+
+@pytest.mark.parametrize("page, key, fields, failing", CORRUPTIONS.values(), ids=list(CORRUPTIONS))
+def test_validate_reports_each_failing_check(page, key, fields, failing):
+    spec, catalog = load_builtin(page)
+    if key in catalog:
+        catalog[key] = dataclasses.replace(catalog[key], **fields)
+    else:
+        catalog[key] = CurveConfig(key, **fields)
+    report = validate_catalog(spec, catalog)
+    assert {check.name: check.detail for check in report.failing()} == failing
+
 
 def test_relation_tables():
     # the derived pairs, pinned to the hand-written tables they replace
@@ -421,6 +499,12 @@ def test_surface_spec_is_linear_in_boundary():
     words[-1] = (20001, 20001)
     with pytest.raises(ValueError, match="boundary words do not abelianise to zero"):
         SurfaceSpec(1, 20000, tuple(words))
+    # a new hole re-checks only the exponent sum of its generator t
+    small = SurfaceSpec.standard(1, 1)
+    with pytest.raises(ValueError, match="boundary words do not abelianise to zero"):
+        small._with_hole(small.boundary_words[0])
+    with pytest.raises(ValueError, match="need genus >= 0 and at least one boundary component"):
+        SurfaceSpec(-1, 1, ((),))
 
 
 def test_stabilize_errors():

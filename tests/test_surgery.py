@@ -9,6 +9,7 @@ from openbook.homology import h1_of_open_book
 from openbook.mcg import TwistWord, equal_classes, evaluate
 from openbook.surface import catalog_to_json, load_builtin
 from openbook.surgery import (
+    NegCF,
     OpenBook,
     _fresh_labels,
     admissible_surgery,
@@ -59,6 +60,9 @@ def test_continued_fraction_rejects_shallow_slopes():
     for r in (Fraction(-1), Fraction(0), Fraction(-1, 2), Fraction(3)):
         with pytest.raises(ValueError, match="needs r < -1"):
             neg_continued_fraction(r)
+    for entries in ((), (-2, -1), (-3, 0, -2)):
+        with pytest.raises(ValueError, match="entries of a negative continued fraction are <= -2"):
+            NegCF(entries)
 
 
 def test_default_n():
@@ -66,6 +70,9 @@ def test_default_n():
     assert default_n(Fraction(7, 3)) == 1
     assert default_n(Fraction(1, 2)) == 3
     assert default_n(Fraction(1)) == 2
+    for r in (Fraction(0), Fraction(-3)):
+        with pytest.raises(ValueError, match="only positive coefficients"):
+            default_n(r)
 
 
 def test_open_book_validation():
@@ -79,6 +86,8 @@ def test_open_book_validation():
         OpenBook(spec, word, ("K",))
     with pytest.raises(ValueError, match="distinct"):
         OpenBook(spec, word, ("K", "K"))
+    with pytest.raises(ValueError, match="different surface"):
+        OpenBook(spec, trefoil_book().word, ("K", "L"))
     assert OpenBook.standard(spec, word).bindings == ("1", "2")
 
 
@@ -137,6 +146,9 @@ def test_surgery_errors():
         surgery(ob, "1", Fraction(1, 2))
     with pytest.raises(ValueError, match="admissible"):
         inadmissible_surgery(ob, "1", Fraction(-3))
+    for r in (Fraction(-1), Fraction(-1, 2), Fraction(2)):
+        with pytest.raises(ValueError, match=f"admissible surgery needs r < -1, got {r};"):
+            admissible_surgery(ob, "1", r)
 
 
 def test_surgery_rejects_twist_count_for_admissible():

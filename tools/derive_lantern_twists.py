@@ -77,7 +77,7 @@ def inner(word: Sequence[int]) -> FreeAutomorphism:
 
 
 def aut(images, inverse_images) -> FreeAutomorphism:
-    return FreeAutomorphism.from_images(RANK, images, inverse_images)
+    return FreeAutomorphism(RANK, images, inverse_images)
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +173,8 @@ def fold_linear(names):
 # Artin generators acting on free generators v1, v2, v3 of the three-holed
 # disk (basepoint on the outer boundary, product v1 v2 v3 = outer word):
 #   s_i: v_i -> v_i v_{i+1} v_i^-1,  v_{i+1} -> v_i
-SIGMA1 = FreeAutomorphism.from_images(
-    3, [(1, 2, -1), (1,), (3,)], [(2,), (-2, 1, 2), (3,)]
-)
-SIGMA2 = FreeAutomorphism.from_images(
-    3, [(1,), (2, 3, -2), (2,)], [(1,), (3,), (-3, 2, 3)]
-)
+SIGMA1 = FreeAutomorphism(3, [(1, 2, -1), (1,), (3,)], [(2,), (-2, 1, 2), (3,)])
+SIGMA2 = FreeAutomorphism(3, [(1,), (2, 3, -2), (2,)], [(1,), (3,), (-3, 2, 3)])
 
 
 def pair_twists():
@@ -446,8 +442,8 @@ def main() -> int:
     # chain on sigma11 directly, and the 12-letter a a b a a b ... identity
     a2 = [(1,), (2, 1)]
     b2_ = [(1, -2), (2,)]
-    f_a = FreeAutomorphism.from_images(2, a2, [(1,), (2, -1)])
-    f_b = FreeAutomorphism.from_images(2, b2_, [(1, 2), (2,)])
+    f_a = FreeAutomorphism(2, a2, [(1,), (2, -1)])
+    f_b = FreeAutomorphism(2, b2_, [(1, 2), (2,)])
     f_d = FreeAutomorphism.inner(2, (1, 2, -1, -2))
     c = FreeAutomorphism.identity(2)
     for _ in range(6):

@@ -24,13 +24,21 @@ data.
 
 from __future__ import annotations
 
-import json
 import sys
 
 
 class UsageError(ValueError):
     pass
 
+
+# Largest rank 2 genus + boundary - 1 of a --config page that words are
+# evaluated on.  A word's deviation on a rank-r page is an r x r matrix:
+# on a shared 2-vCPU host, h1 of the empty word took 0.05 s and 30 MiB
+# at rank 1000 and 0.15 s and 76 MiB at rank 2000, and each dense curve
+# in the word adds about r^2 steps (20 of them: 0.7 s at rank 1000).
+# The trefoil surgery page at r = -480 (tools/surgery_depth.py) has rank
+# 481.  validate reads no word, so it takes a page of any rank.
+MAX_RANK = 1000
 
 _VALUELESS = {"--json", "--peel", "--no-prune"}
 _REPEATABLE = {"--link", "--blow-down"}
@@ -84,7 +92,7 @@ def _load(flags, *word_flags, validate: bool = True):
     """The page named by --surface or read from --config, then the twist
     words of ``word_flags`` on it, each the identity when absent.  A
     config page must pass its catalog checks unless ``validate`` is
-    false."""
+    false, and have rank at most ``MAX_RANK`` if words are read on it."""
     from .surface import catalog_from_json, load_builtin, validate_catalog
 
     name, path = flags.get("--surface"), flags.get("--config")
@@ -99,6 +107,8 @@ def _load(flags, *word_flags, validate: bool = True):
         except OSError as exc:
             raise UsageError(f"cannot read config {path}: {exc}") from None
         spec, catalog = catalog_from_json(text)
+        if word_flags and spec.rank > MAX_RANK:
+            raise UsageError(f"config page has rank {spec.rank}; the limit is {MAX_RANK}")
         if validate:
             report = validate_catalog(spec, catalog)
             if not report.ok:
@@ -321,6 +331,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if "--json" in flags:
+        import json
+
         print(json.dumps(payload, indent=2))
     else:
         for line in lines:

@@ -98,9 +98,9 @@ Pruning never changes the outcome:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, le, sub
 
+from ._value import Value
 from .homology import dot, matrix_rank
 from .mcg import MappingClass, TwistWord, evaluate
 from .surface import (
@@ -119,13 +119,18 @@ MITM_THRESHOLD = 200_000
 _PRUNE_NAMES = ("weight", "homology", "memo", "canonical", "infeasible")
 
 
-@dataclass(frozen=True)
-class SearchProblem:
+class SearchProblem(Value):
     """A target word, a positive alphabet from its catalog, a length bound."""
 
     target: TwistWord
     alphabet: tuple[str, ...]
     max_length: int
+
+    def __init__(self, target, alphabet, max_length) -> None:
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "max_length", max_length)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.max_length < 0:
@@ -143,8 +148,7 @@ class SearchProblem:
                 raise ValueError(f"alphabet curve {name!r} has no exact automorphism")
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Value):
     """Reproducible record of an exhausted search; ``any_length`` when
     the search also rules out every longer word."""
 
@@ -153,7 +157,15 @@ class Certificate:
     nodes: int
     prunes: tuple[tuple[str, int], ...]
     mode: str
-    any_length: bool = False
+    any_length: bool
+
+    def __init__(self, alphabet, max_length, nodes, prunes, mode, any_length=False) -> None:
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "max_length", max_length)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "prunes", prunes)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "any_length", any_length)
 
     def lines(self) -> tuple[str, ...]:
         out = [
@@ -171,13 +183,16 @@ class Certificate:
         return "\n".join(self.lines())
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(Value):
     """Exactly one of ``word`` (a verified positive factorisation) and
     ``certificate`` (exhaustion evidence) is set."""
 
     word: TwistWord | None
     certificate: Certificate | None
+
+    def __init__(self, word, certificate) -> None:
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "certificate", certificate)
 
     @property
     def found(self) -> bool:

@@ -19,8 +19,9 @@ them fixes that word, so conjugating by its inverse undoes the map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from ._value import Value
 
 Letters = tuple[int, ...]
 
@@ -152,8 +153,7 @@ def sanov_substitute(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class FreeAutomorphism:
+class FreeAutomorphism(Value):
     """An automorphism of F_rank with an explicit inverse.
 
     ``images[k-1]`` is the reduced image of x_k, ``inverse_images[k-1]``
@@ -166,6 +166,12 @@ class FreeAutomorphism:
     rank: int
     images: tuple[Letters, ...]
     inverse_images: tuple[Letters, ...]
+
+    def __init__(self, rank, images, inverse_images) -> None:
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "inverse_images", inverse_images)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.images) != self.rank or len(self.inverse_images) != self.rank:

@@ -24,11 +24,11 @@ binding component.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
+
+from ._value import Value
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
@@ -101,6 +101,8 @@ def matrix_rank(a: Sequence[Sequence[int]]) -> int:
 
 def mat_inverse_unimodular(a: Matrix) -> Matrix:
     """Exact inverse of an integer matrix with determinant +-1."""
+    from fractions import Fraction
+
     n = len(a)
     m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(a)]
@@ -224,12 +226,16 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]
     return (1,) * units + tuple(divisors), units + len(divisors)
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Value):
     """A finitely generated abelian group in invariant-factor form."""
 
     free_rank: int
     torsion: tuple[int, ...]
+
+    def __init__(self, free_rank, torsion) -> None:
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.free_rank < 0:

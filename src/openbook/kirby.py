@@ -11,10 +11,10 @@ the matrix is not symmetric unless every framing is an integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
+from ._value import Value
 from .homology import AbelianGroup, Matrix, cokernel
 
 
@@ -26,12 +26,15 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"bad surgery coefficient {text!r}") from None
 
 
-@dataclass(frozen=True)
-class NegCF:
+class NegCF(Value):
     """Negative continued fraction r = c1 - 1/(c2 - 1/(... - 1/ck)),
     every entry at most -2."""
 
     entries: tuple[int, ...]
+
+    def __init__(self, entries) -> None:
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.entries or any(c > -2 for c in self.entries):
@@ -76,14 +79,19 @@ def _pair(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a < b else (b, a)
 
 
-@dataclass(frozen=True)
-class FramedLinkPresentation:
+class FramedLinkPresentation(Value):
     """Link components with rational framings and pairwise linking
-    numbers (absent pairs link zero)."""
+    numbers (absent pairs link zero; no ``linking`` is a new empty dict)."""
 
     labels: tuple[str, ...]
     coefficients: tuple[Fraction, ...]
-    linking: Mapping[tuple[str, str], int] = field(default_factory=dict)
+    linking: Mapping[tuple[str, str], int]
+
+    def __init__(self, labels, coefficients, linking=None) -> None:
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "linking", {} if linking is None else linking)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.coefficients):
@@ -175,12 +183,16 @@ def blow_down(link: FramedLinkPresentation, label: str) -> FramedLinkPresentatio
     return FramedLinkPresentation._trusted(tuple(labels), tuple(coeffs), linking)
 
 
-@dataclass(frozen=True)
-class SeifertData:
+class SeifertData(Value):
     """Small Seifert invariants (e0; r1, r2, r3), each r in (0, 1]."""
 
     e0: int
     rs: tuple[Fraction, Fraction, Fraction]
+
+    def __init__(self, e0, rs) -> None:
+        object.__setattr__(self, "e0", e0)
+        object.__setattr__(self, "rs", rs)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.rs) != 3 or any(not 0 < r <= 1 for r in self.rs):

@@ -26,10 +26,10 @@ boundary-fixing mapping class group.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Iterable, Iterator, Mapping
 
+from ._value import Value
 from .freegroup import FreeAutomorphism, compose, sanov_basis, sanov_substitute
 from .homology import Matrix, deviation, identity_matrix, j_matrix, mat_add, mat_mul
 from .surface import RELATION_PATTERNS, CurveConfig, SurfaceSpec, pair_relation
@@ -54,13 +54,18 @@ def _normalize(entries: Iterable[tuple[str, int]]) -> Entries:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class TwistWord:
+class TwistWord(Value):
     """A normalized word in the twists of a surface catalog."""
 
     surface: SurfaceSpec
     catalog: Mapping[str, CurveConfig]
     entries: Entries
+
+    def __init__(self, surface, catalog, entries) -> None:
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "catalog", catalog)
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         entries = _normalize(self.entries)
@@ -125,18 +130,25 @@ class TwistWord:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class MappingClass:
+class MappingClass(Value):
     """A mapping class as the (curve, exponent) factors of its word,
     rightmost acting first; every invariant is derived from them when
     first read, and kept.
 
-    Without rho o phi, D alone is a necessary invariant only, and
+    ``==`` is identity: exact equality is ``equal_classes``.  Without
+    rho o phi, D alone is a necessary invariant only, and
     ``equal_classes`` refuses to run on it.
     """
 
     surface: SurfaceSpec
     twists: tuple[tuple[CurveConfig, int], ...]
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, surface, twists) -> None:
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "twists", twists)
 
     @cached_property
     def D(self) -> Matrix:

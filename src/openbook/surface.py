@@ -43,12 +43,11 @@ and re-checked by validate_catalog.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, Sequence
 
+from ._value import Value
 from .freegroup import (
     FreeAutomorphism,
     Letters,
@@ -73,14 +72,19 @@ from .homology import (
 Vector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SurfaceSpec:
+class SurfaceSpec(Value):
     """Signature and boundary words of a compact surface with boundary;
     the generator labels follow from the signature (``gen_labels``)."""
 
     genus: int
     boundary: int
     boundary_words: tuple[Letters, ...]
+
+    def __init__(self, genus, boundary, boundary_words) -> None:
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "boundary", boundary)
+        object.__setattr__(self, "boundary_words", boundary_words)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.genus < 0 or self.boundary < 1:
@@ -142,8 +146,7 @@ class SurfaceSpec:
         return cls(genus, boundary, words)
 
 
-@dataclass(frozen=True)
-class CurveConfig:
+class CurveConfig(Value):
     """A named simple closed curve with pairing data and, optionally,
     the exact automorphism of its positive twist."""
 
@@ -151,11 +154,20 @@ class CurveConfig:
     h: Vector
     q: Vector
     p: Vector
-    boundary_parallel_to: int | None = None
-    aut: FreeAutomorphism | None = None
+    boundary_parallel_to: int | None
+    aut: FreeAutomorphism | None
     # curves key the twist_step and pair_relation caches: the hash of
-    # (h, q, p), computed once, skipping the automorphism
-    _hash: int = field(init=False, repr=False, compare=False)
+    # (h, q, p), computed once, skipping the automorphism; not a field
+    _hash: int
+
+    def __init__(self, name, h, q, p, boundary_parallel_to=None, aut=None) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "boundary_parallel_to", boundary_parallel_to)
+        object.__setattr__(self, "aut", aut)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not (len(self.h) == len(self.q) == len(self.p)):
@@ -414,15 +426,20 @@ RELATION_PATTERNS = {
 }
 
 
-@dataclass(frozen=True)
-class RelationTables:
+class RelationTables(Value):
     """Relation moves of a builtin page: the ``pair_relation`` braid and
     commute pairs in catalog order, and the chain and lantern patterns."""
 
     braid_pairs: tuple[tuple[str, str], ...]
     commute_pairs: tuple[tuple[str, str], ...]
-    chain: tuple[tuple[str, ...], tuple[str, ...]] | None = None
-    lantern: tuple[tuple[str, ...], tuple[str, ...]] | None = None
+    chain: tuple[tuple[str, ...], tuple[str, ...]] | None
+    lantern: tuple[tuple[str, ...], tuple[str, ...]] | None
+
+    def __init__(self, braid_pairs, commute_pairs, chain=None, lantern=None) -> None:
+        object.__setattr__(self, "braid_pairs", braid_pairs)
+        object.__setattr__(self, "commute_pairs", commute_pairs)
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "lantern", lantern)
 
     def braids(self, u: str, v: str) -> bool:
         return (u, v) in self.braid_pairs or (v, u) in self.braid_pairs
@@ -447,16 +464,22 @@ def relation_tables(surface_name: str) -> RelationTables:
     )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Value):
     name: str
     passed: bool
-    detail: str = ""
+    detail: str
+
+    def __init__(self, name, passed, detail="") -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Value):
     checks: tuple[CheckResult, ...]
+
+    def __init__(self, checks) -> None:
+        object.__setattr__(self, "checks", checks)
 
     @property
     def ok(self) -> bool:
@@ -578,8 +601,7 @@ def validate_catalog(surface: SurfaceSpec, catalog: Mapping[str, CurveConfig]) -
     return ValidationReport(tuple(checks))
 
 
-@dataclass(frozen=True)
-class StabResult:
+class StabResult(Value):
     """Everything produced by one stabilisation.
 
     ``renames`` maps old curve names to new ones (curves whose
@@ -595,6 +617,13 @@ class StabResult:
     renames: dict[str, str]
     stab_curve: str
     k_index: int
+
+    def __init__(self, surface, catalog, renames, stab_curve, k_index) -> None:
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "catalog", catalog)
+        object.__setattr__(self, "renames", renames)
+        object.__setattr__(self, "stab_curve", stab_curve)
+        object.__setattr__(self, "k_index", k_index)
 
 
 def _split_zk(words: Sequence[Letters], zk: int, t: int) -> list[Letters]:
@@ -869,6 +898,8 @@ def catalog_to_json(surface: SurfaceSpec, catalog: Mapping[str, CurveConfig]) ->
         "boundary_words": [list(w) for w in surface.boundary_words],
         "curves": curves,
     }
+    import json
+
     return json.dumps(obj, indent=2)
 
 
@@ -901,6 +932,8 @@ def catalog_from_json(text: str) -> tuple[SurfaceSpec, Catalog]:
     ``MAX_AUT_LETTERS`` letters together, checked before the two maps
     are checked against each other.
     """
+    import json
+
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:

@@ -19,11 +19,11 @@ re-exported here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, filterfalse
 from typing import Iterator
 
+from ._value import Value
 from .kirby import NegCF, neg_continued_fraction, parse_rational
 from .mcg import TwistWord
 from .surface import SurfaceSpec, boundary_parallel_curve, stabilize
@@ -36,13 +36,18 @@ def default_n(r: Fraction) -> int:
     return r.denominator // r.numerator + 1
 
 
-@dataclass(frozen=True)
-class OpenBook:
+class OpenBook(Value):
     """A page, a monodromy word, and one label per binding component."""
 
     surface: SurfaceSpec
     word: TwistWord
     bindings: tuple[str, ...]
+
+    def __init__(self, surface, word, bindings) -> None:
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "bindings", bindings)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.word.surface != self.surface:

@@ -548,6 +548,28 @@ def test_huge_signature_configs(tmp_path, capsys):
     assert out.startswith("structure: FAIL (curve a: vectors have length 2, want 100001)\n")
 
 
+def test_config_rank_limit(tmp_path, capsys, monkeypatch):
+    # words are read on a config page of rank at most MAX_RANK; one of rank
+    # MAX_RANK + 1 is refused before any word or rank x rank matrix is built
+    limit = cli.MAX_RANK
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"genus": 1, "boundary": limit - 1}))
+    code, out, err = run(capsys, "h1", "--config", str(path))
+    assert (code, err) == (0, "") and out == "H1: " + " + ".join(["Z"] * limit) + "\n"
+    from openbook import mcg
+
+    monkeypatch.setattr(mcg, "deviation", None)  # any word evaluated would fail
+    monkeypatch.setattr(mcg.TwistWord, "parse", None)
+    path.write_text(json.dumps({"genus": 0, "boundary": limit + 2}))
+    for command in (["h1"], ["eval"], ["equal"], ["search", "--target", "", "--alphabet", "a"],
+                    ["surgery", "--K", "1", "--r", "-2"]):
+        code, out, err = run(capsys, *command, "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: config page has rank {limit + 1}; the limit is {limit}\n"
+    code, out, err = run(capsys, "validate", "--config", str(path))
+    assert (code, err) == (0, "") and out.startswith("structure: PASS\n")
+
+
 def test_help_and_unknown(capsys):
     code, _, err = run(capsys)
     assert code == 1 and "Subcommands:" in err

@@ -35,7 +35,14 @@ def fresh(code: str) -> list[str]:
     return proc.stdout.splitlines()[-1].split()
 
 
-LOADED = "import sys; print(*sorted(m[9:] for m in sys.modules if m.startswith('openbook.')))"
+# standard modules that no layer needs at import: the value classes are
+# built without dataclasses (which loads inspect), and json and fractions
+# are imported where they are used
+STDLIB = ("dataclasses", "inspect", "json", "fractions")
+LOADED = (
+    "import sys; print(*sorted(m[9:] for m in sys.modules if m.startswith('openbook.')), "
+    f"*[m for m in {STDLIB!r} if m in sys.modules])"
+)
 
 
 def test_import_loads_only_the_layers_read():
@@ -45,25 +52,39 @@ def test_import_loads_only_the_layers_read():
     assert not {"factorsearch", "kirby", "surgery", "cli"} & set(loaded)
 
 
+def test_no_layer_loads_dataclasses():
+    layers = sorted(p.stem for p in (SRC / "openbook").glob("[!_]*.py"))
+    loaded = fresh("".join(f"import openbook.{layer}; " for layer in layers) + LOADED)
+    assert set(layers) <= set(loaded)
+    assert not {"dataclasses", "inspect"} & set(loaded)
+
+
 @pytest.mark.parametrize(
     "argv, absent",
     [
         (["search", "--surface", "sigma12", "--target", "d1 d2 e^2",
-          "--alphabet", "s1,s2,s3", "--max-length", "3"], {"kirby", "surgery"}),
+          "--alphabet", "s1,s2,s3", "--max-length", "3"],
+         {"kirby", "surgery", "json", "fractions"}),
         (["h1", "--surface", "sigma12", "--word", "a b g^-1 d1 d2^4"],
-         {"kirby", "surgery", "factorsearch"}),
+         {"kirby", "surgery", "factorsearch", "json", "fractions"}),
+        (["eval", "--surface", "sigma12", "--word", "a b"],
+         {"kirby", "surgery", "factorsearch", "json", "fractions"}),
+        (["equal", "--surface", "sigma11", "--word1", "a b a", "--word2", "b a b"],
+         {"kirby", "surgery", "factorsearch", "json", "fractions"}),
+        (["validate", "--surface", "sigma12"],
+         {"mcg", "kirby", "surgery", "factorsearch", "json", "fractions"}),
         (["cf", "-5/4"], {"mcg", "surface", "surgery", "factorsearch"}),
         (["seifert", "--e0", "-1", "--rs", "1/2,1/3,1/4"],
          {"mcg", "surface", "surgery", "factorsearch"}),
         (["kirby", "--coefficients", "2,-1", "--link", "1-2:3"],
          {"mcg", "surface", "surgery", "factorsearch"}),
     ],
-    ids=["search", "h1", "cf", "seifert", "kirby"],
+    ids=["search", "h1", "eval", "equal", "validate", "cf", "seifert", "kirby"],
 )
 def test_cli_commands_load_only_their_layers(argv, absent):
     loaded = fresh(f"from openbook import cli; cli.main({argv!r}); " + LOADED)
     assert "cli" in loaded
-    assert not absent & set(loaded)
+    assert not (absent | {"dataclasses", "inspect"}) & set(loaded)
 
 
 @pytest.mark.parametrize(

@@ -97,7 +97,11 @@ def test_startup_cost_covers_every_readme_example():
     for entry in result.values():
         assert entry["median_s"] > 0
         assert entry["modules"][0] == "openbook"
-    assert result["cf -5/4"]["modules"] == ["openbook", "openbook.homology", "openbook.kirby"]
+        assert set(entry["import_ms"]) == {"openbook", "other"}
+        assert entry["import_ms"]["openbook"] > 0 and entry["import_ms"]["other"] > 0
+    assert result["cf -5/4"]["modules"] == [
+        "openbook", "openbook._value", "openbook.homology", "openbook.kirby"
+    ]
 
 
 def test_line_coverage_reports_lines_never_run():
@@ -112,7 +116,9 @@ def test_line_coverage_reports_lines_never_run():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     missing = json.loads(proc.stdout.splitlines()[-1])
     package = ROOT / "src" / "openbook"
-    assert set(missing) == {"openbook"} | {f"openbook.{p.stem}" for p in package.glob("[!_]*.py")}
+    assert set(missing) == {"openbook", "openbook._value"} | {
+        f"openbook.{p.stem}" for p in package.glob("[!_]*.py")
+    }
     source = (package / "cli.py").read_text(encoding="utf-8").splitlines()
     line = {text: next(i for i, s in enumerate(source, 1) if text in s)
             for text in ("command = args[0]", "--rs takes three")}

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import re
@@ -28,6 +27,11 @@ from openbook.surface import (
     validate_catalog,
 )
 from openbook.surgery import OpenBook, surgery
+
+
+def replace(cfg: CurveConfig, **changes) -> CurveConfig:
+    """``cfg`` with ``changes``, rebuilt through the checking constructor."""
+    return CurveConfig(**{**{name: getattr(cfg, name) for name in cfg._fields}, **changes})
 
 
 def test_builtin_catalogs_validate():
@@ -73,7 +77,7 @@ def test_builtin_structure():
 def test_validate_catches_corruption():
     spec, catalog = load_builtin("sigma12")
     bad = dict(catalog)
-    bad["a"] = dataclasses.replace(catalog["a"], q=(9, 9, 9))
+    bad["a"] = replace(catalog["a"], q=(9, 9, 9))
     report = validate_catalog(spec, bad)
     assert not report.ok
     failing = [c.name for c in report.checks if not c.passed]
@@ -81,12 +85,12 @@ def test_validate_catches_corruption():
 
     bad = dict(catalog)
     # q of a separating curve must pair trivially with every h in the catalog
-    bad["s1"] = dataclasses.replace(catalog["s1"], h=(1, 0, 0))
+    bad["s1"] = replace(catalog["s1"], h=(1, 0, 0))
     assert not validate_catalog(spec, bad).ok
 
     # a relation curve without an exact automorphism raises
     bad = dict(catalog)
-    bad["s1"] = dataclasses.replace(catalog["s1"], aut=None)
+    bad["s1"] = replace(catalog["s1"], aut=None)
     with pytest.raises(ValueError, match="missing automorphism for curve 's1'"):
         validate_catalog(spec, bad)
     # the constructor refuses what no check could read
@@ -156,7 +160,7 @@ CORRUPTIONS = {
 def test_validate_reports_each_failing_check(page, key, fields, failing):
     spec, catalog = load_builtin(page)
     if key in catalog:
-        catalog[key] = dataclasses.replace(catalog[key], **fields)
+        catalog[key] = replace(catalog[key], **fields)
     else:
         catalog[key] = CurveConfig(key, **fields)
     report = validate_catalog(spec, catalog)
@@ -297,13 +301,13 @@ def test_stabilize_matches_builtin():
     assert (result.stab_curve, result.k_index) == ("d1", 2)
     # the builtin page is handed back only for the builtin input; the rule
     # itself, run on a catalog with one more curve, gives the same curves
-    extra = dict(catalog, c=dataclasses.replace(catalog["a"], name="c"))
+    extra = dict(catalog, c=replace(catalog["a"], name="c"))
     ruled = stabilize(spec, extra, 1)
     assert ruled.surface == spec12
     assert list(ruled.catalog) == ["a", "b", "g", "c", "d1", "d2"]
     for name in ("a", "b", "g", "d1", "d2"):
         assert ruled.catalog[name] == catalog12[name]
-    assert ruled.catalog["c"] == dataclasses.replace(catalog12["a"], name="c")
+    assert ruled.catalog["c"] == replace(catalog12["a"], name="c")
     assert (ruled.renames, ruled.stab_curve, ruled.k_index) == ({"d": "g"}, "d1", 2)
 
 
@@ -514,7 +518,7 @@ def test_stabilize_errors():
     with pytest.raises(ValueError):
         stabilize(spec, catalog, 0)
     collide = dict(catalog)
-    collide["d3"] = dataclasses.replace(catalog["e"], name="d3")
+    collide["d3"] = replace(catalog["e"], name="d3")
     with pytest.raises(ValueError, match="collision"):
         stabilize(spec, collide, 2)
     short = dict(catalog, c=CurveConfig("c", (1, 0), (0, 1), (0, 1)))
@@ -544,7 +548,7 @@ def test_curve_weights():
     # s2 keeps only linear data, but its h types it
     assert catalog["s2"].aut is None and weights["s2"] == (1, 1, 1)
     # without an automorphism the keys cannot tell g3 from d1
-    bare = dict(catalog, g3=dataclasses.replace(catalog["g3"], aut=None))
+    bare = dict(catalog, g3=replace(catalog["g3"], aut=None))
     assert curve_weights(spec, bare)["g3"] is None
 
     # on the four-holed page g3 bounds {2, 3} or {1, 4}: undecided
@@ -675,7 +679,7 @@ def test_carried_catalogs_match_eager_stabilisation():
     # carried from every depth; the last pages serialise byte for byte
     rng = random.Random(16)
     sigma11, sigma12 = load_builtin("sigma11"), load_builtin("sigma12")
-    extra11 = dict(sigma11[1], c=dataclasses.replace(sigma11[1]["a"], name="c"))
+    extra11 = dict(sigma11[1], c=replace(sigma11[1]["a"], name="c"))
     errors = compared = 0
     for chain in range(60):
         spec, catalog = [
@@ -757,10 +761,10 @@ def test_curve_hash_is_computed_once():
     a = catalog["a"]
     assert hash(a) == hash((a.h, a.q, a.p))
     assert "_hash" not in repr(a)
-    moved = dataclasses.replace(a, h=(2, 0, 0), q=(0, 2, 0), p=(0, 2, 0))
+    moved = replace(a, h=(2, 0, 0), q=(0, 2, 0), p=(0, 2, 0))
     assert hash(moved) == hash(((2, 0, 0), (0, 2, 0), (0, 2, 0)))
-    assert dataclasses.replace(a, name="c") != a
-    assert dataclasses.replace(a, name="c") == dataclasses.replace(catalog["e"], name="c")
+    assert replace(a, name="c") != a
+    assert replace(a, name="c") == replace(catalog["e"], name="c")
     trusted = CurveConfig._trusted(a.name, a.h, a.q, a.p, None, a.aut)
     assert trusted == a and hash(trusted) == hash(a)
     assert list(vars(trusted)) == list(vars(a))

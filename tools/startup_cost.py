@@ -4,16 +4,19 @@ Every ``$ openbook ...`` example in README.md is run as
 ``python -m openbook.cli ...`` from the repository root, ``--reps``
 times (default 5), and once more under ``-X importtime`` to read which
 ``openbook`` modules the process imports (``openbook.cli`` itself runs
-as ``__main__`` and is not among them).  Wall times include interpreter
-start-up and, without cached bytecode, compiling every module loaded.
+as ``__main__`` and is not among them) and the import self-times of
+those modules and of every other module, summed in milliseconds.  Wall
+times include interpreter start-up and, without cached bytecode,
+compiling every module loaded.
 
 Run from the repository root:
 
     python3 tools/startup_cost.py [--reps N]
 
 It prints one JSON line mapping each example's command line (without
-the leading ``openbook``) to its median wall time in seconds and its
-loaded modules.
+the leading ``openbook``) to its median wall time in seconds
+(``median_s``), its loaded modules (``modules``) and its import
+self-time in ms (``import_ms``: ``openbook`` and ``other``).
 """
 
 import argparse
@@ -42,17 +45,26 @@ def readme_commands() -> list[str]:
     return commands
 
 
-def loaded_modules(argv: list[str], env: dict) -> list[str]:
+def import_profile(argv: list[str], env: dict) -> tuple[list[str], dict]:
+    """The ``openbook`` modules a run imports, and the import self-times
+    in ms of those and of the rest, read from ``-X importtime``."""
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "openbook.cli", *argv],
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
-    names = (
-        line.rsplit("|", 1)[1].strip()
-        for line in proc.stderr.splitlines()
-        if line.startswith("import time:")
-    )
-    return sorted(name for name in names if name.split(".")[0] == "openbook")
+    modules, self_us = [], {"openbook": 0, "other": 0}
+    for line in proc.stderr.splitlines():
+        if not line.startswith("import time:"):
+            continue
+        us, _, name = line[len("import time:"):].split("|")
+        if not us.strip().isdigit():  # the column header
+            continue
+        name = name.strip()
+        ours = name.split(".")[0] == "openbook"
+        if ours:
+            modules.append(name)
+        self_us["openbook" if ours else "other"] += int(us)
+    return sorted(modules), {k: round(v / 1000, 2) for k, v in self_us.items()}
 
 
 def wall_time(argv: list[str], env: dict) -> float:
@@ -76,9 +88,11 @@ def main() -> None:
     for command in readme_commands():
         argv = shlex.split(command)
         times = [wall_time(argv, env) for _ in range(reps)]
+        modules, import_ms = import_profile(argv, env)
         result[command] = {
             "median_s": round(statistics.median(times), 4),
-            "modules": loaded_modules(argv, env),
+            "modules": modules,
+            "import_ms": import_ms,
         }
     print(json.dumps(result))
 

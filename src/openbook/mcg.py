@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Mapping
 from ._value import Value
 from .freegroup import FreeAutomorphism, compose, sanov_basis, sanov_substitute
 from .homology import Matrix, deviation, identity_matrix, j_matrix, mat_add, mat_mul
-from .surface import RELATION_PATTERNS, CurveConfig, SurfaceSpec, pair_relation
+from .surface import RELATION_PATTERNS, CurveConfig, SurfaceSpec, boundary_indices, pair_relation
 
 _TOKEN = re.compile(r"^([A-Za-z][A-Za-z0-9]*)(?:\^(-?\d+))?$")
 
@@ -229,13 +229,13 @@ def boundary_exponent_delta(word: TwistWord, i: int, j: int) -> int:
     n1, n2 nonseparating) moves the count for (2, 1) from 1 to 0 and
     keeps every weight.
     """
-    counts = {i: 0, j: 0}
-    if not counts.keys() <= {c.boundary_parallel_to for c in word.catalog.values()}:
+    parallel = boundary_indices(word.catalog)
+    counts = dict.fromkeys(parallel.values(), 0)
+    if i not in counts or j not in counts:
         raise ValueError(f"no boundary-parallel curve for component {i} or {j}")
     for name, exp in word.entries:
-        bpt = word.catalog[name].boundary_parallel_to
-        if bpt in counts:
-            counts[bpt] += exp
+        if name in parallel:
+            counts[parallel[name]] += exp
     return counts[i] - counts[j]
 
 

@@ -12,9 +12,9 @@ Conventions, fixed once and locked by the homology outputs downstream:
 * The relative H_1(Sigma, boundary) basis is j(x_1), ..., j(y_g)
   followed by arcs A_2, ..., A_n from boundary 1 to boundary i; the
   vector slot of A_i coincides with the slot of z_i.
-* A CurveConfig stores the class h = [c] and the two pairing vectors
-  q_k = <basis_k, c> (absolute) and p_k = <relative basis_k, c>, plus
-  optionally the exact automorphism of the positive twist about c.
+* A CurveConfig, named by its catalog key, stores the class h = [c], the
+  pairings q_k = <basis_k, c> (absolute) and p_k = <relative basis_k, c>,
+  and optionally the exact automorphism of the positive twist about c.
   The absolute basis pairs through the relative one, so q = J p, with J
   keeping the 2g genus coordinates, and q = Omega h by the intersection
   form; validate_catalog checks both, and the linear algebra downstream
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ._value import Value
 from .freegroup import (
@@ -147,10 +147,9 @@ class SurfaceSpec(Value):
 
 
 class CurveConfig(Value):
-    """A named simple closed curve with pairing data and, optionally,
-    the exact automorphism of its positive twist."""
+    """A simple closed curve with pairing data and, optionally, the exact
+    automorphism of its positive twist; its name is its catalog key."""
 
-    name: str
     h: Vector
     q: Vector
     p: Vector
@@ -160,8 +159,7 @@ class CurveConfig(Value):
     # (h, q, p), computed once, skipping the automorphism; not a field
     _hash: int
 
-    def __init__(self, name, h, q, p, boundary_parallel_to=None, aut=None) -> None:
-        object.__setattr__(self, "name", name)
+    def __init__(self, h, q, p, boundary_parallel_to=None, aut=None) -> None:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
@@ -171,17 +169,16 @@ class CurveConfig(Value):
 
     def __post_init__(self) -> None:
         if not (len(self.h) == len(self.q) == len(self.p)):
-            raise ValueError(f"curve {self.name}: h, q, p lengths differ")
+            raise ValueError("h, q, p lengths differ")
         if self.aut is not None and self.aut.rank != len(self.h):
-            raise ValueError(f"curve {self.name}: automorphism rank mismatch")
+            raise ValueError("automorphism rank mismatch")
         object.__setattr__(self, "_hash", hash((self.h, self.q, self.p)))
 
     @classmethod
-    def _trusted(cls, name, h, q, p, boundary_parallel_to, aut) -> "CurveConfig":
+    def _trusted(cls, h, q, p, boundary_parallel_to, aut) -> "CurveConfig":
         """Wrap fields already known to pass ``__post_init__``, set in
         field order as ``__init__`` sets them."""
         cfg = object.__new__(cls)
-        object.__setattr__(cfg, "name", name)
         object.__setattr__(cfg, "h", h)
         object.__setattr__(cfg, "q", q)
         object.__setattr__(cfg, "p", p)
@@ -212,7 +209,7 @@ def _boundary_curve(spec: SurfaceSpec, i: int, ident=None) -> CurveConfig:
     else:
         h = (0,) * (g2 + i - 2) + (1,) + (0,) * (m - g2 - i + 1)
         aut = ident or FreeAutomorphism.identity(m)
-    return CurveConfig._trusted(f"d{i}", h, (0,) * m, h, i, aut)
+    return CurveConfig._trusted(h, (0,) * m, h, i, aut)
 
 
 @lru_cache(maxsize=None)
@@ -221,15 +218,15 @@ def _sigma11() -> tuple[SurfaceSpec, Catalog]:
     b1 = spec.boundary_words[0]
     catalog = {
         "a": CurveConfig(
-            "a", (1, 0), (0, 1), (0, 1),
+            (1, 0), (0, 1), (0, 1),
             aut=FreeAutomorphism(2, [(1,), (2, 1)], [(1,), (2, -1)]),
         ),
         "b": CurveConfig(
-            "b", (0, 1), (-1, 0), (-1, 0),
+            (0, 1), (-1, 0), (-1, 0),
             aut=FreeAutomorphism(2, [(1, -2), (2,)], [(1, 2), (2,)]),
         ),
         "d": CurveConfig(
-            "d", (0, 0), (0, 0), (0, 0),
+            (0, 0), (0, 0), (0, 0),
             boundary_parallel_to=1,
             aut=FreeAutomorphism.inner(2, b1),
         ),
@@ -253,34 +250,35 @@ def _sigma12() -> tuple[SurfaceSpec, Catalog]:
     g_word = (1, 2, -1, -2)              # separating curve around the genus
     aut_a = FreeAutomorphism(3, [(1,), (2, 1), (3,)], [(1,), (2, -1), (3,)])
     aut_g = FreeAutomorphism.conjugation(3, g_word, (1, 2))
+    a = CurveConfig((1, 0, 0), (0, 1, 0), (0, 1, 0), aut=aut_a)
+    g = CurveConfig((0, 0, 0), (0, 0, 0), (0, 0, 0), aut=aut_g)
     catalog = {
-        "a": CurveConfig("a", (1, 0, 0), (0, 1, 0), (0, 1, 0), aut=aut_a),
+        "a": a,
         "b": CurveConfig(
-            "b", (0, 1, 0), (-1, 0, 0), (-1, 0, 0),
+            (0, 1, 0), (-1, 0, 0), (-1, 0, 0),
             aut=FreeAutomorphism(3, [(1, -2), (2,), (3,)], [(1, 2), (2,), (3,)]),
         ),
-        "g": CurveConfig("g", (0, 0, 0), (0, 0, 0), (0, 0, 0), aut=aut_g),
+        "g": g,
         "d1": CurveConfig(
-            "d1", (0, 0, -1), (0, 0, 0), (0, 0, -1),
+            (0, 0, -1), (0, 0, 0), (0, 0, -1),
             boundary_parallel_to=1,
             aut=FreeAutomorphism.inner(3, b1),
         ),
         "d2": CurveConfig(
-            "d2", (0, 0, 1), (0, 0, 0), (0, 0, 1),
+            (0, 0, 1), (0, 0, 0), (0, 0, 1),
             boundary_parallel_to=2,
             aut=FreeAutomorphism.identity(3),
         ),
-        # e is a parallel copy of a on the other side of the handle;
-        # same class, same pairings, same action
-        "e": CurveConfig("e", (1, 0, 0), (0, 1, 0), (0, 1, 0), aut=aut_a),
-        # s1 is parallel to the separating curve g
-        "s1": CurveConfig("s1", (0, 0, 0), (0, 0, 0), (0, 0, 0), aut=aut_g),
+        # e is a parallel copy of a on the other side of the handle and
+        # s1 is parallel to the separating curve g: same data, one value
+        "e": a,
+        "s1": g,
         "s2": CurveConfig(
-            "s2", (1, 0, -1), (0, 1, 0), (0, 1, -1),
+            (1, 0, -1), (0, 1, 0), (0, 1, -1),
             aut=FreeAutomorphism(3, _S2_IMAGES, _S2_INVERSE),
         ),
         "s3": CurveConfig(
-            "s3", (1, 0, 1), (0, 1, 0), (0, 1, 1),
+            (1, 0, 1), (0, 1, 0), (0, 1, 1),
             aut=FreeAutomorphism(3, _S3_IMAGES, _S3_INVERSE),
         ),
     }
@@ -332,17 +330,19 @@ def right_compose(key, step):
     return sanov_substitute(rho, images), append_twist(d, jh, h, p)
 
 
-def _class_key(genus: int, rank: int, curves: Sequence[CurveConfig]):
-    """Class key of the word of positive twists about ``curves``; raises
-    for a curve without an exact automorphism."""
+def _class_key(genus: int, rank: int, catalog: Mapping[str, CurveConfig], names: Iterable[str]):
+    """Class key of the word of positive twists about the catalog curves
+    ``names``; raises for a curve without an exact automorphism."""
     key = identity_key(rank)
-    for cfg in curves:
+    for name in names:
+        cfg = catalog[name]
         if cfg.aut is None:
-            raise ValueError(f"missing automorphism for curve {cfg.name!r}")
+            raise ValueError(f"missing automorphism for curve {name!r}")
         key = right_compose(key, twist_step(cfg, genus))
     return key
 
 
+@lru_cache(maxsize=4096)
 def pair_relation(genus: int, u: CurveConfig, v: CurveConfig) -> str | None:
     """"commute" when u v and v u have one class key, "braid" when
     |q_u . h_v| = 1 and u v u and v u v have one key, else None.
@@ -351,15 +351,9 @@ def pair_relation(genus: int, u: CurveConfig, v: CurveConfig) -> str | None:
     meet once (Farb-Margalit, A Primer on Mapping Class Groups, 3.5); the
     pairing keeps curves of one class, for which u v u = v u v trivially,
     out of the braids.  A curve without an exact automorphism relates to
-    nothing.  Cached once per unordered pair.
+    nothing.  Cached per ordered pair; on validated curves (q = Omega h)
+    the relation is symmetric in u and v.
     """
-    if v.name < u.name:
-        u, v = v, u
-    return _pair_relation(genus, u, v)
-
-
-@lru_cache(maxsize=4096)
-def _pair_relation(genus: int, u: CurveConfig, v: CurveConfig) -> str | None:
     if u.aut is None or v.aut is None:
         return None
     su, sv = twist_step(u, genus), twist_step(v, genus)
@@ -397,7 +391,8 @@ def curve_weights(
 
     def side_key(side):
         """Key of the twist about d<i> for side (i,), or a trivial curve for ()."""
-        return _class_key(1, m, [_boundary_curve(spec, i) for i in side])
+        curves = {f"d{i}": _boundary_curve(spec, i) for i in side}
+        return _class_key(1, m, curves, curves)
 
     for name, cfg in catalog.items():
         if any(cfg.h[:2]):
@@ -408,7 +403,7 @@ def curve_weights(
         elif cfg.aut is not None and set(cfg.h[2:]) - {0} in (set(), {1}, {-1}):
             t = tuple(i for i in range(2, r + 1) if cfg.h[i])
             both = (t, tuple(j for j in range(1, r + 1) if j not in t))
-            own = _class_key(1, m, [cfg])
+            own = _class_key(1, m, catalog, [name])
             sides = [s for s in both if len(s) < 2 and side_key(s) == own]
             sides = sides or [s for s in both if len(s) > 1]
         else:
@@ -520,9 +515,6 @@ def validate_catalog(surface: SurfaceSpec, catalog: Mapping[str, CurveConfig]) -
 
     failures = []
     for key, cfg in catalog.items():
-        if cfg.name != key:
-            failures.append(f"catalog key {key!r} holds curve named {cfg.name!r}")
-            continue
         if cfg.rank != m:
             failures.append(f"curve {key}: vectors have length {cfg.rank}, want {m}")
             continue
@@ -589,7 +581,7 @@ def validate_catalog(surface: SurfaceSpec, catalog: Mapping[str, CurveConfig]) -
                 failures.append("curves not in catalog: " + ", ".join(gone))
             else:
                 (rho_l, d_l), (rho_r, d_r) = (
-                    _class_key(surface.genus, m, [catalog[n] for n in side])
+                    _class_key(surface.genus, m, catalog, side)
                     for side in (lhs, rhs)
                 )
                 if rho_l != rho_r:
@@ -657,7 +649,7 @@ def _transported_aut(aut: FreeAutomorphism, steps) -> FreeAutomorphism:
     return FreeAutomorphism._deferred(steps[-1][0], _transport_tables, root, done + steps)
 
 
-def _carry(name: str, cfg: CurveConfig, steps) -> CurveConfig:
+def _carry(cfg: CurveConfig, steps) -> CurveConfig:
     """``cfg`` carried in one pass through the stabilisations ``steps``,
     each given by its z_K (None for K = 1) and adding the generator t one
     past the rank: h and p gain the z_K / A_K weight (0 for K = 1), q
@@ -678,7 +670,7 @@ def _carry(name: str, cfg: CurveConfig, steps) -> CurveConfig:
         moves.append((t, zk))
     if aut is not None:
         aut = _transported_aut(aut, tuple(moves))
-    return CurveConfig._trusted(name, tuple(h), cfg.q + (0,) * len(steps), tuple(p), bpt, aut)
+    return CurveConfig._trusted(tuple(h), cfg.q + (0,) * len(steps), tuple(p), bpt, aut)
 
 
 class CarriedCatalog(Mapping):
@@ -711,35 +703,29 @@ class CarriedCatalog(Mapping):
                 raise ValueError(f"curve {name}: vectors have length {cfg.rank}, want {rank}")
         return cls(dict(catalog), rank)
 
-    def parallel_to(self, i: int) -> list[str]:
-        """The names of the curves parallel to boundary component i,
-        read from the records without building any curve."""
-        return _parallel_to(self._records, i)
-
     def stabilised(self, zk, renames, rebuilt, added) -> "CarriedCatalog":
         """The catalog one stabilisation (z_K or None) on: names renamed
-        in place by ``renames``, the records of the curves ``rebuilt``
-        replaced, and the curves ``added`` appended, all of these already
-        on the new page.  Raises on a name collision."""
+        in place by ``renames``, the (name, curve) pairs ``rebuilt``
+        replacing their records and ``added`` appended, all on the new
+        page.  Raises on a name collision."""
         names = list(self._records)
         for old, new in renames.items():
             names[names.index(old)] = new
         records = dict(zip(names, self._records.values()))
         if len(records) < len(names):
             raise _collision(next(iter(renames.values())))
-        for cfg in rebuilt:
-            records[cfg.name] = cfg
-        for cfg in added:
-            if cfg.name in records:
-                raise _collision(cfg.name)
-            records[cfg.name] = cfg
+        records.update(rebuilt)
+        for name, cfg in added:
+            if name in records:
+                raise _collision(name)
+            records[name] = cfg
         return CarriedCatalog(records, self._rank, self._steps + (zk,))
 
     def __getitem__(self, name: str) -> CurveConfig:
         cfg = self._records[name]
         todo = self._steps[cfg.rank - self._rank:]
         if todo:
-            cfg = self._records[name] = _carry(name, cfg, todo)
+            cfg = self._records[name] = _carry(cfg, todo)
         return cfg
 
     def __contains__(self, name) -> bool:
@@ -752,9 +738,14 @@ class CarriedCatalog(Mapping):
         return len(self._records)
 
 
-def _parallel_to(curves: Mapping[str, CurveConfig], i: int) -> list[str]:
-    """The names of the curves parallel to boundary component i."""
-    return [name for name, cfg in curves.items() if cfg.boundary_parallel_to == i]
+def boundary_indices(catalog: Mapping[str, CurveConfig]) -> dict[str, int]:
+    """The boundary component each boundary-parallel curve is parallel
+    to, by name, in catalog order.  A ``CarriedCatalog`` answers from its
+    records, whose boundary indices are current, building no curve."""
+    # type, not isinstance: an ABC's isinstance costs about 150 ns, this 17 ns
+    curves = catalog._records if type(catalog) is CarriedCatalog else catalog
+    return {name: cfg.boundary_parallel_to for name, cfg in curves.items()
+            if cfg.boundary_parallel_to is not None}
 
 
 def _collision(name: str) -> ValueError:
@@ -827,27 +818,26 @@ def stabilize(
     def extend(v: Vector) -> Vector:
         return (*v, 0 if zk is None else v[zk - 1])
 
-    def rebuilt(name: str, new_name: str, bpt: int | None, aut: FreeAutomorphism) -> CurveConfig:
+    def rebuilt(name: str, bpt: int | None, aut: FreeAutomorphism) -> CurveConfig:
         """An old curve on the new page, with its twist replaced."""
         cfg = catalog[name]
         return CurveConfig._trusted(
-            new_name, extend(cfg.h), cfg.q + (0,), extend(cfg.p), bpt,
+            extend(cfg.h), cfg.q + (0,), extend(cfg.p), bpt,
             None if cfg.aut is None else aut,
         )
 
     rename_target = "g" if new_n == 2 else f"g{new_n}"
-    renames = dict.fromkeys(catalog.parallel_to(K), rename_target)
+    parallel = boundary_indices(catalog)
+    renames = {name: rename_target for name, i in parallel.items() if i == K}
     rebuilt_curves = [
-        rebuilt(name, rename_target, None, FreeAutomorphism._conjugation(t, far_word, far_side))
+        (rename_target, rebuilt(name, None, FreeAutomorphism._conjugation(t, far_word, far_side)))
         for name in renames
+    ] + [
+        (name, rebuilt(name, 1, FreeAutomorphism._conjugation(t, new_b1, range(1, t + 1))))
+        for name, i in parallel.items() if i == 1 and K > 1
     ]
-    if K > 1:
-        rebuilt_curves += [
-            rebuilt(name, name, 1, FreeAutomorphism._conjugation(t, new_b1, range(1, t + 1)))
-            for name in catalog.parallel_to(1)
-        ]
     ident = FreeAutomorphism.identity(t)
-    added = [_boundary_curve(new_surface, i, ident) for i in (K, new_n)]
+    added = [(f"d{i}", _boundary_curve(new_surface, i, ident)) for i in (K, new_n)]
     return StabResult(
         surface=new_surface,
         catalog=catalog.stabilised(zk, renames, rebuilt_curves, added),
@@ -861,12 +851,9 @@ def boundary_parallel_curve(
     catalog: Mapping[str, CurveConfig], position: int
 ) -> str:
     """The unique catalog curve parallel to boundary component
-    ``position``; raises if there is none or more than one.  A
-    ``CarriedCatalog`` answers from its records, building no curve."""
-    if isinstance(catalog, CarriedCatalog):
-        names = catalog.parallel_to(position)
-    else:
-        names = _parallel_to(catalog, position)
+    ``position`` (``boundary_indices``); raises if there is none or more
+    than one."""
+    names = [name for name, i in boundary_indices(catalog).items() if i == position]
     if len(names) != 1:
         raise ValueError(
             f"need exactly one boundary-parallel curve for component {position}"
@@ -877,9 +864,9 @@ def boundary_parallel_curve(
 def catalog_to_json(surface: SurfaceSpec, catalog: Mapping[str, CurveConfig]) -> str:
     """Serialize a surface and catalog to the documented JSON schema."""
     curves = []
-    for cfg in catalog.values():
+    for name, cfg in catalog.items():
         entry: dict = {
-            "name": cfg.name,
+            "name": name,
             "h": list(cfg.h),
             "q": list(cfg.q),
             "p": list(cfg.p),
@@ -987,5 +974,8 @@ def catalog_from_json(text: str) -> tuple[SurfaceSpec, Catalog]:
         bpt = entry.get("boundary_parallel_to")
         if bpt is not None and type(bpt) is not int:
             raise ValueError(f"curve {name!r}: boundary_parallel_to must be an integer")
-        catalog[name] = CurveConfig(name, h, q, p, bpt, aut)
+        try:
+            catalog[name] = CurveConfig(h, q, p, bpt, aut)
+        except ValueError as e:
+            raise ValueError(f"curve {name}: {e}") from None
     return surface, catalog

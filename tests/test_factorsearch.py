@@ -65,7 +65,7 @@ def test_word_weights_goldens():
     assert word_weights(TwistWord.parse(spec1, catalog1, "d")) == (12,)
     # no weights are defined off genus 1
     spec2 = SurfaceSpec.standard(2, 1)
-    a = CurveConfig("a", (1, 0, 0, 0), (0, 1, 0, 0), (0, 1, 0, 0))
+    a = CurveConfig((1, 0, 0, 0), (0, 1, 0, 0), (0, 1, 0, 0))
     assert word_weights(TwistWord.parse(spec2, {"a": a}, "a")) is None
 
 
@@ -451,7 +451,7 @@ def test_search_problem_validation():
 def test_search_rejects_a_curve_with_nonzero_p_jh():
     # p . Jh = 1 for h = x, p = x: no twist transvection has these data
     spec, catalog = load_builtin("sigma11")
-    bad = CurveConfig("bad", (1, 0), (0, 1), (1, 0), aut=catalog["a"].aut)
+    bad = CurveConfig((1, 0), (0, 1), (1, 0), aut=catalog["a"].aut)
     target = TwistWord.parse(spec, dict(catalog, bad=bad), "a")
     with pytest.raises(ValueError, match=r"^p \. Jh must vanish for a twist transvection$"):
         search_positive(SearchProblem(target, ("bad",), 1))

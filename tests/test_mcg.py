@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from openbook import freegroup, mcg
+from openbook import freegroup, mcg, surface
 from openbook.freegroup import FreeAutomorphism, compose, sanov_basis, sanov_substitute
 from openbook.homology import (
     compose_linear,
@@ -161,6 +161,30 @@ def test_boundary_exponent_delta():
     broken = TwistWord.parse(spec, partial, "a b")
     with pytest.raises(ValueError):
         boundary_exponent_delta(broken, 2, 1)
+
+
+def test_boundary_exponent_delta_builds_no_curve(monkeypatch):
+    # on the r = -40 surgery page of the trefoil book, whose word twists
+    # once about each d<i>, the delta reads the boundary indices from the
+    # carried catalog's records
+    spec, catalog = load_builtin("sigma11")
+    book = OpenBook.standard(spec, TwistWord.parse(spec, catalog, "a b"))
+    ob = surgery(book, "1", Fraction(-40))
+    word = ob.word * TwistWord.parse(ob.surface, ob.word.catalog, "d2^3 g5 d7^-2 d1")
+    n, carry, carried = ob.surface.boundary, surface._carry, []
+    monkeypatch.setattr(surface, "_carry", lambda *args: carried.append(args) or carry(*args))
+    pairs = [(i, j) for i in range(1, n + 1) for j in (1, n)]
+    deltas = {(i, j): boundary_exponent_delta(word, i, j) for i, j in pairs}
+    with pytest.raises(ValueError, match=f"no boundary-parallel curve for component {n + 1}"):
+        boundary_exponent_delta(word, n + 1, 1)
+    assert carried == []
+    bpt = {name: cfg.boundary_parallel_to for name, cfg in dict(word.catalog).items()}
+    assert carried
+    for i, j in pairs:
+        assert deltas[i, j] == sum(
+            exp * ((bpt[name] == i) - (bpt[name] == j)) for name, exp in word.entries
+        )
+    assert any(deltas.values())
 
 
 def test_apply_relation_goldens():

@@ -24,6 +24,7 @@ from openbook.surface import (
     pair_relation,
     relation_tables,
     stabilize,
+    twist_step,
     validate_catalog,
 )
 from openbook.surgery import OpenBook, surgery
@@ -94,10 +95,10 @@ def test_validate_catches_corruption():
     with pytest.raises(ValueError, match="missing automorphism for curve 's1'"):
         validate_catalog(spec, bad)
     # the constructor refuses what no check could read
-    with pytest.raises(ValueError, match="curve x: h, q, p lengths differ"):
-        CurveConfig("x", (1, 0), (0, 1), (0, 1, 0))
-    with pytest.raises(ValueError, match="curve x: automorphism rank mismatch"):
-        CurveConfig("x", (1, 0), (0, 1), (0, 1), aut=catalog["a"].aut)
+    with pytest.raises(ValueError, match="^h, q, p lengths differ$"):
+        CurveConfig((1, 0), (0, 1), (0, 1, 0))
+    with pytest.raises(ValueError, match="^automorphism rank mismatch$"):
+        CurveConfig((1, 0), (0, 1), (0, 1), aut=catalog["a"].aut)
 
 
 _ZERO = {"h": (0, 0, 0), "q": (0, 0, 0), "p": (0, 0, 0)}
@@ -107,8 +108,6 @@ _ZERO = {"h": (0, 0, 0), "q": (0, 0, 0), "p": (0, 0, 0)}
 # replace those of a catalog curve, or make a new curve x, which no
 # relation names.  A failing structure check stops the report.
 CORRUPTIONS = {
-    "key-name": ("sigma12", "a", {"name": "x"},
-                 {"structure": "catalog key 'a' holds curve named 'x'"}),
     "rank": ("sigma12", "a", {"h": (1, 0), "q": (0, 1), "p": (0, 1), "aut": None},
              {"structure": "curve a: vectors have length 2, want 3"}),
     "q-Jp": ("sigma12", "a", {"q": (0, 1, 1)}, {"structure": "curve a: q != J p"}),
@@ -162,7 +161,7 @@ def test_validate_reports_each_failing_check(page, key, fields, failing):
     if key in catalog:
         catalog[key] = replace(catalog[key], **fields)
     else:
-        catalog[key] = CurveConfig(key, **fields)
+        catalog[key] = CurveConfig(**fields)
     report = validate_catalog(spec, catalog)
     assert {check.name: check.detail for check in report.failing()} == failing
 
@@ -216,6 +215,35 @@ def test_json_round_trip():
         spec2, catalog2 = catalog_from_json(text)
         assert spec2 == spec and catalog2 == catalog
         assert catalog_to_json(spec2, catalog2) == text
+    # a stabilised page keeps every name, in order: names live only as keys
+    spec, catalog = _sigma13()
+    result = stabilize(spec, catalog, 2)
+    spec2, catalog2 = catalog_from_json(catalog_to_json(result.surface, result.catalog))
+    assert spec2 == result.surface and catalog2 == result.catalog
+    assert list(catalog2) == list(result.catalog)
+
+
+def test_curves_differing_only_in_name_are_one_value():
+    # e is a on the other side of the handle, s1 parallel to g: a twist
+    # depends on the curve's data, not its label, so the caches share
+    # entries; JSON builds each curve of the page anew
+    catalog = catalog_from_json(catalog_to_json(*load_builtin("sigma12")))[1]
+    assert catalog["a"] is not catalog["e"] and catalog["g"] is not catalog["s1"]
+    assert catalog["a"] == catalog["e"] and catalog["g"] == catalog["s1"]
+    twist_step.cache_clear()
+    assert twist_step(catalog["a"], 1) is twist_step(catalog["e"], 1)
+    info = twist_step.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)
+
+
+def test_pair_relation_is_symmetric():
+    for spec, catalog in (load_builtin("sigma11"), load_builtin("sigma12"), _sigma13()):
+        curves = dict(catalog)
+        for u in curves:
+            for v in curves:
+                assert pair_relation(spec.genus, curves[u], curves[v]) == pair_relation(
+                    spec.genus, curves[v], curves[u]
+                ), (u, v)
 
 
 def test_json_error_reporting():
@@ -241,6 +269,16 @@ def test_json_error_reporting():
     del missing["curves"][0]["q"]
     with pytest.raises(ValueError, match="malformed curve entry"):
         catalog_from_json(json.dumps(missing))
+
+    # the constructor's errors name the curve by its entry
+    short = json.loads(json.dumps(obj))
+    short["curves"][0]["h"] = [1]
+    with pytest.raises(ValueError, match="^curve a: h, q, p lengths differ$"):
+        catalog_from_json(json.dumps(short))
+    long = json.loads(json.dumps(obj))
+    long["curves"][1].update(h=[0, 1, 0], q=[-1, 0, 0], p=[-1, 0, 0])
+    with pytest.raises(ValueError, match="^curve b: automorphism rank mismatch$"):
+        catalog_from_json(json.dumps(long))
 
 
 def test_json_numbers_must_be_integers():
@@ -301,13 +339,13 @@ def test_stabilize_matches_builtin():
     assert (result.stab_curve, result.k_index) == ("d1", 2)
     # the builtin page is handed back only for the builtin input; the rule
     # itself, run on a catalog with one more curve, gives the same curves
-    extra = dict(catalog, c=replace(catalog["a"], name="c"))
+    extra = dict(catalog, c=catalog["a"])
     ruled = stabilize(spec, extra, 1)
     assert ruled.surface == spec12
     assert list(ruled.catalog) == ["a", "b", "g", "c", "d1", "d2"]
     for name in ("a", "b", "g", "d1", "d2"):
         assert ruled.catalog[name] == catalog12[name]
-    assert ruled.catalog["c"] == replace(catalog12["a"], name="c")
+    assert ruled.catalog["c"] == catalog12["a"]
     assert (ruled.renames, ruled.stab_curve, ruled.k_index) == ({"d": "g"}, "d1", 2)
 
 
@@ -400,7 +438,7 @@ def test_stabilised_tables_match_transport():
         if rng.random() < 0.5:
             u, v = (catalog[rng.choice(sorted(catalog))].aut for _ in range(2))
             zero = (0,) * spec.rank
-            catalog["w"] = CurveConfig("w", zero, zero, zero, aut=compose(u, v.inverse()))
+            catalog["w"] = CurveConfig(zero, zero, zero, aut=compose(u, v.inverse()))
         ref = {name: cfg.aut for name, cfg in catalog.items()}
         steps = rng.randint(1, 5)
         for step in range(steps):
@@ -518,10 +556,10 @@ def test_stabilize_errors():
     with pytest.raises(ValueError):
         stabilize(spec, catalog, 0)
     collide = dict(catalog)
-    collide["d3"] = replace(catalog["e"], name="d3")
+    collide["d3"] = catalog["e"]
     with pytest.raises(ValueError, match="collision"):
         stabilize(spec, collide, 2)
-    short = dict(catalog, c=CurveConfig("c", (1, 0), (0, 1), (0, 1)))
+    short = dict(catalog, c=CurveConfig((1, 0), (0, 1), (0, 1)))
     with pytest.raises(ValueError, match="curve c: vectors have length 2, want 3"):
         stabilize(spec, short, 1)
 
@@ -558,8 +596,8 @@ def test_curve_weights():
 
     # genus 2: no capping weights are defined
     spec2 = SurfaceSpec.standard(2, 1)
-    a = CurveConfig("a", (1, 0, 0, 0), (0, 1, 0, 0), (0, 1, 0, 0))
-    d = CurveConfig("d", (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), 1)
+    a = CurveConfig((1, 0, 0, 0), (0, 1, 0, 0), (0, 1, 0, 0))
+    d = CurveConfig((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), 1)
     assert curve_weights(spec2, {"a": a, "d": d}) is None
 
 
@@ -636,10 +674,10 @@ def _eager_stabilize(spec, catalog, K):
 
     new_catalog, renames = {}, {}
 
-    def insert(cfg):
-        if cfg.name in new_catalog:
-            raise ValueError(f"curve name collision during stabilisation: {cfg.name!r}")
-        new_catalog[cfg.name] = cfg
+    def insert(name, cfg):
+        if name in new_catalog:
+            raise ValueError(f"curve name collision during stabilisation: {name!r}")
+        new_catalog[name] = cfg
 
     target = "g" if new_n == 2 else f"g{new_n}"
     for name, cfg in catalog.items():
@@ -647,9 +685,9 @@ def _eager_stabilize(spec, catalog, K):
         if bpt == K:
             renames[name] = name = target
             bpt = None
-        insert(CurveConfig(name, extend(cfg.h), (*cfg.q, 0), extend(cfg.p), bpt, derived_aut(cfg)))
-    insert(surface._boundary_curve(new_spec, K, ident))
-    insert(surface._boundary_curve(new_spec, new_n, ident))
+        insert(name, CurveConfig(extend(cfg.h), (*cfg.q, 0), extend(cfg.p), bpt, derived_aut(cfg)))
+    insert(f"d{K}", surface._boundary_curve(new_spec, K, ident))
+    insert(f"d{new_n}", surface._boundary_curve(new_spec, new_n, ident))
     return new_spec, new_catalog, renames, f"d{stab_index}", k_index
 
 
@@ -679,7 +717,7 @@ def test_carried_catalogs_match_eager_stabilisation():
     # carried from every depth; the last pages serialise byte for byte
     rng = random.Random(16)
     sigma11, sigma12 = load_builtin("sigma11"), load_builtin("sigma12")
-    extra11 = dict(sigma11[1], c=replace(sigma11[1]["a"], name="c"))
+    extra11 = dict(sigma11[1], c=sigma11[1]["a"])
     errors = compared = 0
     for chain in range(60):
         spec, catalog = [
@@ -737,8 +775,8 @@ def test_stabilisation_chain_builds_curves_only_when_read(monkeypatch):
     trusted = CurveConfig._trusted.__func__
     validated = CurveConfig.__post_init__
     monkeypatch.setattr(CurveConfig, "_trusted", classmethod(
-        lambda cls, name, *rest: built.append(name) or trusted(cls, name, *rest)))
-    monkeypatch.setattr(CurveConfig, "__post_init__", lambda self: built.append(self.name) or validated(self))
+        lambda cls, *fields: built.append(fields) or trusted(cls, *fields)))
+    monkeypatch.setattr(CurveConfig, "__post_init__", lambda self: built.append(self) or validated(self))
     rng = random.Random(100)
     spec, catalog = load_builtin("sigma12")
     for step in range(100):
@@ -763,8 +801,7 @@ def test_curve_hash_is_computed_once():
     assert "_hash" not in repr(a)
     moved = replace(a, h=(2, 0, 0), q=(0, 2, 0), p=(0, 2, 0))
     assert hash(moved) == hash(((2, 0, 0), (0, 2, 0), (0, 2, 0)))
-    assert replace(a, name="c") != a
-    assert replace(a, name="c") == replace(catalog["e"], name="c")
-    trusted = CurveConfig._trusted(a.name, a.h, a.q, a.p, None, a.aut)
+    assert replace(a, boundary_parallel_to=1) != a
+    trusted = CurveConfig._trusted(a.h, a.q, a.p, None, a.aut)
     assert trusted == a and hash(trusted) == hash(a)
     assert list(vars(trusted)) == list(vars(a))

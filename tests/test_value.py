@@ -95,7 +95,7 @@ def test_value_semantics(cls):
 
 
 def test_fields_follow_the_constructor():
-    assert CurveConfig._fields == ("name", "h", "q", "p", "boundary_parallel_to", "aut")
+    assert CurveConfig._fields == ("h", "q", "p", "boundary_parallel_to", "aut")
     assert repr(CheckResult("x", True)) == "CheckResult(name='x', passed=True, detail='')"
     assert repr(NegCF((-2,))) == "NegCF(entries=(-2,))"
     assert hash(NegCF((-2,))) == hash(((-2,),))

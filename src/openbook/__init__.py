@@ -31,7 +31,8 @@ _HOMES = {
         "MappingClass", "TwistWord", "apply_relation", "boundary_exponent_delta",
         "equal_classes", "evaluate",
     ),
-    "surface": ("CurveConfig", "SurfaceSpec", "load_builtin", "stabilize", "validate_catalog"),
+    "stabilisation": ("stabilize",),
+    "surface": ("CurveConfig", "SurfaceSpec", "load_builtin", "validate_catalog"),
     "surgery": ("OpenBook", "admissible_surgery", "inadmissible_surgery", "surgery"),
 }
 _EXPORTS = {name: module for module, names in _HOMES.items() for name in names}

@@ -93,7 +93,7 @@ def _load(flags, *word_flags, validate: bool = True):
     words of ``word_flags`` on it, each the identity when absent.  A
     config page must pass its catalog checks unless ``validate`` is
     false, and have rank at most ``MAX_RANK`` if words are read on it."""
-    from .surface import catalog_from_json, load_builtin, validate_catalog
+    from .surface import load_builtin, validate_catalog
 
     name, path = flags.get("--surface"), flags.get("--config")
     if (name is None) == (path is None):
@@ -101,6 +101,8 @@ def _load(flags, *word_flags, validate: bool = True):
     if path is None:
         spec, catalog = load_builtin(name)
     else:
+        from .catalog_json import catalog_from_json
+
         try:
             with open(path, encoding="utf-8") as handle:
                 text = handle.read()

@@ -1,4 +1,4 @@
-"""Surfaces with boundary, named twist-curve catalogs, and stabilisation.
+"""Surfaces with boundary and named twist-curve catalogs.
 
 Conventions, fixed once and locked by the homology outputs downstream:
 
@@ -22,17 +22,13 @@ Conventions, fixed once and locked by the homology outputs downstream:
 * Classes are keyed exactly by (rho o phi, D) (``right_compose``);
   ``pair_relation`` decides on these keys which twists commute or braid,
   and ``mcg.MappingClass`` and the search fold the same keys.
-* ``stabilize`` is one rule for every boundary index: each curve's twist
-  is carried to the new page by the basis change, zero-extended, or
-  replaced by a conjugation.  These are built trusted, on first read:
-  each is an automorphism whenever the input twist is, and a carried
-  twist keeps only its first page's automorphism and the steps (t, z_K)
-  since; automorphisms are checked where they enter (the public
-  constructor, JSON).  Whole curves are carried the same way: a
-  stabilised page's catalog is a read-only ``CarriedCatalog``, in
-  which a stabilisation writes only the curves it changes and every
-  other curve is carried through the steps since its last build when it
-  is first read; ``dict(catalog)`` gives a mutable copy.
+
+This module holds the spec, the curves, the builtin pages, the class
+keys, the capping weights, the relation tables, ``validate_catalog`` and
+``boundary_indices``.  Stabilisation lives in ``openbook.stabilisation``
+and the JSON format in ``openbook.catalog_json``, loaded only by the
+commands that run them; ``stabilize``, ``catalog_to_json`` and
+``catalog_from_json`` can still be read here, which loads their module.
 
 The builtin catalogs cover the one- and two-boundary genus-1 pages.  The
 two partition-curve automorphisms of the two-boundary page (s2, s3) and
@@ -43,16 +39,16 @@ and re-checked by validate_catalog.
 
 from __future__ import annotations
 
+import importlib
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from ._value import Value
 from .freegroup import (
     FreeAutomorphism,
     Letters,
     are_conjugate,
-    concat,
     exponent_sums,
     reduce_letters,
     sanov_basis,
@@ -551,8 +547,12 @@ def validate_catalog(surface: SurfaceSpec, catalog: Mapping[str, CurveConfig]) -
             abelian = cfg.aut.abelianize()
             if abelian != mat_add(identity_matrix(m), outer(cfg.h, cfg.q)):
                 problems.append(("transvection", "abelianisation is not I + h q^T"))
-            # Z^m / A Z^m = 0 exactly when det A = +-1
-            if not cokernel(abelian).is_trivial():
+                # Z^m / A Z^m = 0 exactly when det A = +-1
+                unimodular = cokernel(abelian).is_trivial()
+            else:
+                # det(I + h q^T) = 1 + q . h (the matrix determinant lemma)
+                unimodular = abs(1 + dot(cfg.q, cfg.h)) == 1
+            if not unimodular:
                 problems.append(("unimodular", "automorphism not unimodular"))
             if cfg.aut.apply(b1) != b1:
                 problems.append(
@@ -593,389 +593,32 @@ def validate_catalog(surface: SurfaceSpec, catalog: Mapping[str, CurveConfig]) -
     return ValidationReport(tuple(checks))
 
 
-class StabResult(Value):
-    """Everything produced by one stabilisation.
-
-    ``renames`` maps old curve names to new ones (curves whose
-    boundary-parallel status the new handle destroyed); ``stab_curve``
-    names the boundary-parallel curve whose positive twist the
-    stabilisation appends; the stabilised binding now sits at boundary
-    index ``k_index``, parallel to d<k_index>.  ``catalog`` is a
-    read-only ``CarriedCatalog``.
-    """
-
-    surface: SurfaceSpec
-    catalog: Mapping[str, CurveConfig]
-    renames: dict[str, str]
-    stab_curve: str
-    k_index: int
-
-    def __init__(self, surface, catalog, renames, stab_curve, k_index) -> None:
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "catalog", catalog)
-        object.__setattr__(self, "renames", renames)
-        object.__setattr__(self, "stab_curve", stab_curve)
-        object.__setattr__(self, "k_index", k_index)
-
-
-def _split_zk(words: Sequence[Letters], zk: int, t: int) -> list[Letters]:
-    """z_K -> z_K t on reduced words without t; the results are reduced."""
-    split = {zk: (zk, t), -zk: (-t, -zk)}
-    return [tuple(y for x in w for y in split.get(x, (x,))) for w in words]
-
-
-def _transport_tables(root: FreeAutomorphism, steps):
-    """The tables of ``root`` carried through ``steps`` (t, z_K or None):
-    S o (aut * fix t) o S^-1 takes x to S(aut(x)), z_K to S(aut(z_K)) t^-1
-    (only this seam can cancel) and t to t."""
-    tables = root.images, root.inverse_images
-    for t, zk in steps:
-        if zk is not None:
-            tables = [_split_zk(table, zk, t) for table in tables]
-            for table in tables:
-                table[zk - 1] = concat(table[zk - 1], (-t,))
-        fixed = (t,)
-        tables = tuple((*table, fixed) for table in tables)
-    return tables
-
-
-def _transported_aut(aut: FreeAutomorphism, steps) -> FreeAutomorphism:
-    """``aut`` carried through ``steps`` (t, z_K or None), each
-    S o (aut * fix t) o S^-1 for S: z_K -> z_K t, t the new last
-    generator, or the identity (zk None); built trusted, on first read, as
-    a conjugate of an automorphism is one.  Unread tables gain the steps."""
-    build, args = aut.__dict__.get("_build", (None, None))
-    root, done = args if build is _transport_tables else (aut, ())
-    return FreeAutomorphism._deferred(steps[-1][0], _transport_tables, root, done + steps)
-
-
-def _carry(cfg: CurveConfig, steps) -> CurveConfig:
-    """``cfg`` carried in one pass through the stabilisations ``steps``,
-    each given by its z_K (None for K = 1) and adding the generator t one
-    past the rank: h and p gain the z_K / A_K weight (0 for K = 1), q
-    gains 0, and the twist is transported, zero-extended for a
-    boundary-parallel curve, until an interior curve meets z_K, which
-    drops it (see ``stabilize``)."""
-    h, p = list(cfg.h), list(cfg.p)
-    bpt, aut = cfg.boundary_parallel_to, cfg.aut
-    moves = []
-    for t, zk in enumerate(steps, cfg.rank + 1):
-        hz, pz = (0, 0) if zk is None else (h[zk - 1], p[zk - 1])
-        h.append(hz)
-        p.append(pz)
-        if bpt is not None:
-            zk = None
-        elif hz or pz:
-            aut = None
-        moves.append((t, zk))
-    if aut is not None:
-        aut = _transported_aut(aut, tuple(moves))
-    return CurveConfig._trusted(tuple(h), cfg.q + (0,) * len(steps), tuple(p), bpt, aut)
-
-
-class CarriedCatalog(Mapping):
-    """The read-only catalog of a stabilised page, whose curves are built
-    when first read.
-
-    It holds one record per name, in catalog order, and the
-    stabilisations since the last plain catalog: that page's rank, then
-    z_K or None per step.  A record is a curve as last built: of rank r,
-    it lives on the page r - rank steps along.  Its boundary index is
-    current, as ``stabilize`` rebuilds every curve whose index changes.
-    Reading it carries it through the later steps once (``_carry``) and
-    stores the result as the record, so each curve is built once per
-    page.  ``dict(catalog)`` gives a mutable copy.
-    """
-
-    __slots__ = ("_records", "_rank", "_steps")
-
-    def __init__(self, records, rank, steps=()) -> None:
-        self._records, self._rank, self._steps = records, rank, steps
-
-    @classmethod
-    def of(cls, catalog: Mapping[str, CurveConfig], rank: int) -> "CarriedCatalog":
-        """``catalog`` itself if carried, else a copy of its curves, which
-        must have rank ``rank``, with no steps yet."""
-        if isinstance(catalog, cls):
-            return catalog
-        for name, cfg in catalog.items():
-            if cfg.rank != rank:
-                raise ValueError(f"curve {name}: vectors have length {cfg.rank}, want {rank}")
-        return cls(dict(catalog), rank)
-
-    def stabilised(self, zk, renames, rebuilt, added) -> "CarriedCatalog":
-        """The catalog one stabilisation (z_K or None) on: names renamed
-        in place by ``renames``, the (name, curve) pairs ``rebuilt``
-        replacing their records and ``added`` appended, all on the new
-        page.  Raises on a name collision."""
-        names = list(self._records)
-        for old, new in renames.items():
-            names[names.index(old)] = new
-        records = dict(zip(names, self._records.values()))
-        if len(records) < len(names):
-            raise _collision(next(iter(renames.values())))
-        records.update(rebuilt)
-        for name, cfg in added:
-            if name in records:
-                raise _collision(name)
-            records[name] = cfg
-        return CarriedCatalog(records, self._rank, self._steps + (zk,))
-
-    def __getitem__(self, name: str) -> CurveConfig:
-        cfg = self._records[name]
-        todo = self._steps[cfg.rank - self._rank:]
-        if todo:
-            cfg = self._records[name] = _carry(cfg, todo)
-        return cfg
-
-    def __contains__(self, name) -> bool:
-        return name in self._records
-
-    def __iter__(self):
-        return iter(self._records)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-
 def boundary_indices(catalog: Mapping[str, CurveConfig]) -> dict[str, int]:
     """The boundary component each boundary-parallel curve is parallel
-    to, by name, in catalog order.  A ``CarriedCatalog`` answers from its
-    records, whose boundary indices are current, building no curve."""
+    to, by name, in catalog order.  A ``stabilisation.CarriedCatalog``
+    answers from its records, whose boundary indices are current,
+    building no curve."""
     # type, not isinstance: an ABC's isinstance costs about 150 ns, this 17 ns
-    curves = catalog._records if type(catalog) is CarriedCatalog else catalog
+    curves = catalog._records if type(catalog) is _carried_catalog else catalog
     return {name: cfg.boundary_parallel_to for name, cfg in curves.items()
             if cfg.boundary_parallel_to is not None}
 
 
-def _collision(name: str) -> ValueError:
-    return ValueError(f"curve name collision during stabilisation: {name!r}")
+# stabilisation.CarriedCatalog, set when that module loads: until then no
+# catalog is carried, and boundary_indices need not load it to tell
+_carried_catalog = None
+
+# public names that moved out of this module, by their new module
+_MOVED = {
+    "stabilize": "stabilisation",
+    "catalog_to_json": "catalog_json",
+    "catalog_from_json": "catalog_json",
+}
 
 
-def stabilize(
-    surface: SurfaceSpec, catalog: Mapping[str, CurveConfig], K: int
-) -> StabResult:
-    """Add a 1-handle across boundary component K (genus unchanged,
-    one more boundary component) and return the new configuration.
-
-    One rule covers every K.  Boundary K splits into a continuation hole
-    and a fresh hole t, the new last generator, and old b_K = new b_K t.
-    The basis change S is the identity for K = 1 and z_K -> z_K t for
-    K >= 2.  For K = 1 the basepoint stays on boundary 1 and the binding
-    moves to the fresh hole; for K >= 2 the binding keeps index K and
-    the fresh hole carries the stabilisation curve.  Each old curve,
-    in catalog order:
-
-    * parallel to K: it now bounds both new holes and is renamed g<n+1>
-      (g on the two-boundary page); its twist conjugates the generators
-      on its far side from the basepoint by its word: all old ones by
-      old b_1 for K = 1, z_K and t by z_K t for K >= 2;
-    * parallel to 1 (K >= 2): the twist is inner(new b_1);
-    * parallel to another component: the twist is zero-extended;
-    * interior: the twist is transported by S, unless the curve's class
-      or relative pairing meets boundary K.  Such a curve runs through
-      the handle and keeps only its linear data.
-
-    h and p are zero-extended with the z_K/A_K weight copied into the
-    fresh slot (no copy for K = 1), q is zero-extended, and the curves
-    d<K> and d<n+1> parallel to the two new holes come last.  Every
-    derived automorphism is built trusted, on first read, not re-checked:
-    a conjugate or zero-extension of an automorphism is one, and so are
-    the conjugations and inner maps (see ``FreeAutomorphism.conjugation``),
-    whose words are reduced and in range by construction.  So are the new
-    boundary words: the new ``SurfaceSpec`` re-checks only the exponent
-    sum of t (``SurfaceSpec._with_hole``).
-
-    The new catalog is a read-only ``CarriedCatalog``: only the curves
-    parallel to K and to 1 and the two new boundary curves are built
-    here; every other curve is carried through the stabilisations since
-    its last build when it is first read.  ``dict(result.catalog)`` gives
-    a mutable copy.  The curves of a plain input catalog must have the
-    page's rank.
-    """
-    g, n, m = surface.genus, surface.boundary, surface.rank
-    if not 1 <= K <= n:
-        raise ValueError(f"invalid boundary index {K} for {surface.name}")
-    # the rule takes the builtin one-holed torus at K = 1 to the builtin
-    # two-holed page; hand back its full nine-curve catalog
-    if K == 1 and (surface, catalog) == _sigma11():
-        return StabResult(*load_builtin("sigma12"), {"d": "g"}, "d1", 2)
-    new_n, t = n + 1, m + 1
-    b1 = surface.boundary_words[0]
-    if K == 1:
-        zk = None
-        far_word, far_side = b1, range(1, t)
-        new_b1 = concat(b1, (-t,))
-        k_index, stab_index = new_n, 1
-    else:
-        zk = 2 * g + K - 1  # the generator z_K
-        far_word = far_side = (zk, t)
-        new_b1 = _split_zk([b1], zk, t)[0]
-        k_index, stab_index = K, new_n
-    new_surface = surface._with_hole(new_b1)
-    catalog = CarriedCatalog.of(catalog, m)
-
-    def extend(v: Vector) -> Vector:
-        return (*v, 0 if zk is None else v[zk - 1])
-
-    def rebuilt(name: str, bpt: int | None, aut: FreeAutomorphism) -> CurveConfig:
-        """An old curve on the new page, with its twist replaced."""
-        cfg = catalog[name]
-        return CurveConfig._trusted(
-            extend(cfg.h), cfg.q + (0,), extend(cfg.p), bpt,
-            None if cfg.aut is None else aut,
-        )
-
-    rename_target = "g" if new_n == 2 else f"g{new_n}"
-    parallel = boundary_indices(catalog)
-    renames = {name: rename_target for name, i in parallel.items() if i == K}
-    rebuilt_curves = [
-        (rename_target, rebuilt(name, None, FreeAutomorphism._conjugation(t, far_word, far_side)))
-        for name in renames
-    ] + [
-        (name, rebuilt(name, 1, FreeAutomorphism._conjugation(t, new_b1, range(1, t + 1))))
-        for name, i in parallel.items() if i == 1 and K > 1
-    ]
-    ident = FreeAutomorphism.identity(t)
-    added = [(f"d{i}", _boundary_curve(new_surface, i, ident)) for i in (K, new_n)]
-    return StabResult(
-        surface=new_surface,
-        catalog=catalog.stabilised(zk, renames, rebuilt_curves, added),
-        renames=renames,
-        stab_curve=f"d{stab_index}",
-        k_index=k_index,
-    )
-
-
-def boundary_parallel_curve(
-    catalog: Mapping[str, CurveConfig], position: int
-) -> str:
-    """The unique catalog curve parallel to boundary component
-    ``position`` (``boundary_indices``); raises if there is none or more
-    than one."""
-    names = [name for name, i in boundary_indices(catalog).items() if i == position]
-    if len(names) != 1:
-        raise ValueError(
-            f"need exactly one boundary-parallel curve for component {position}"
-        )
-    return names[0]
-
-
-def catalog_to_json(surface: SurfaceSpec, catalog: Mapping[str, CurveConfig]) -> str:
-    """Serialize a surface and catalog to the documented JSON schema."""
-    curves = []
-    for name, cfg in catalog.items():
-        entry: dict = {
-            "name": name,
-            "h": list(cfg.h),
-            "q": list(cfg.q),
-            "p": list(cfg.p),
-        }
-        if cfg.boundary_parallel_to is not None:
-            entry["boundary_parallel_to"] = cfg.boundary_parallel_to
-        if cfg.aut is not None:
-            entry["aut"] = {
-                "images": [list(w) for w in cfg.aut.images],
-                "inverse_images": [list(w) for w in cfg.aut.inverse_images],
-            }
-        curves.append(entry)
-    obj = {
-        "genus": surface.genus,
-        "boundary": surface.boundary,
-        "boundary_words": [list(w) for w in surface.boundary_words],
-        "curves": curves,
-    }
-    import json
-
-    return json.dumps(obj, indent=2)
-
-
-# Letters a JSON curve's images and inverse images may hold together.
-# Checking that the two maps invert each other costs about the product of
-# their lengths, 1-2.5e-8 s per letter squared on a shared 2-vCPU host:
-# at most about 0.6 s at this limit, against 10-18 s at 33k letters.  A
-# builtin curve holds at most 62 letters.
-MAX_AUT_LETTERS = 5000
-
-
-def _ints(value, message: str, depth: int = 1):
-    """A JSON list of integers (of such lists, for depth 2) as tuples.
-    Only JSON integers count: ``int(x)`` would also take 1.9, true and "0"."""
-    if not isinstance(value, list):
-        raise ValueError(message)
-    if depth > 1:
-        return tuple(_ints(v, message, depth - 1) for v in value)
-    if any(type(x) is not int for x in value):
-        raise ValueError(message)
-    return tuple(value)
-
-
-def catalog_from_json(text: str) -> tuple[SurfaceSpec, Catalog]:
-    """Parse the JSON schema back into a surface and catalog.
-
-    ``boundary_words`` may be omitted, in which case the canonical
-    words of the signature are used.  Every number must be a JSON
-    integer, and a curve's images and inverse images may hold at most
-    ``MAX_AUT_LETTERS`` letters together, checked before the two maps
-    are checked against each other.
-    """
-    import json
-
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValueError(
-            f"parse error at line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from None
-    if not isinstance(obj, dict) or any(
-        type(obj.get(k)) is not int for k in ("genus", "boundary")
-    ):
-        raise ValueError("config needs integer genus and boundary")
-    genus, boundary = obj["genus"], obj["boundary"]
-    surface = SurfaceSpec.standard(genus, boundary)
-    if "boundary_words" in obj:
-        words = _ints(obj["boundary_words"], "boundary_words must be lists of integers", 2)
-        surface = SurfaceSpec(genus, boundary, words)
-    catalog: Catalog = {}
-    entries = obj.get("curves", [])
-    if not isinstance(entries, list):
-        raise ValueError("curves must be a list of curve entries")
-    for entry in entries:
-        try:
-            name = entry["name"]
-            vectors = [entry[k] for k in ("h", "q", "p")]
-        except (KeyError, TypeError) as e:
-            raise ValueError(f"malformed curve entry: {e}") from None
-        if not isinstance(name, str):
-            raise ValueError(f"curve name must be a string, got {name!r}")
-        h, q, p = (
-            _ints(v, f"curve {name!r}: {k} must be a list of integers")
-            for k, v in zip("hqp", vectors)
-        )
-        aut = None
-        if "aut" in entry:
-            spec = entry["aut"]
-            try:
-                images, inverse_images = (
-                    _ints(spec[k], f"{k} must be lists of integers", 2)
-                    for k in ("images", "inverse_images")
-                )
-                letters = sum(map(len, images + inverse_images))
-                if letters > MAX_AUT_LETTERS:
-                    raise ValueError(
-                        f"images and inverse_images hold {letters} letters; "
-                        f"the limit is {MAX_AUT_LETTERS}"
-                    )
-                aut = FreeAutomorphism(surface.rank, images, inverse_images)
-            except (KeyError, TypeError, ValueError) as e:
-                raise ValueError(f"curve {name!r}: bad automorphism: {e}") from None
-        if name in catalog:
-            raise ValueError(f"duplicate curve name {name!r}")
-        bpt = entry.get("boundary_parallel_to")
-        if bpt is not None and type(bpt) is not int:
-            raise ValueError(f"curve {name!r}: boundary_parallel_to must be an integer")
-        try:
-            catalog[name] = CurveConfig(h, q, p, bpt, aut)
-        except ValueError as e:
-            raise ValueError(f"curve {name}: {e}") from None
-    return surface, catalog
+def __getattr__(name):
+    if name not in _MOVED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__package__}.{_MOVED[name]}"), name)
+    globals()[name] = value
+    return value

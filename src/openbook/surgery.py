@@ -26,7 +26,8 @@ from typing import Iterator
 from ._value import Value
 from .kirby import NegCF, neg_continued_fraction, parse_rational
 from .mcg import TwistWord
-from .surface import SurfaceSpec, boundary_parallel_curve, stabilize
+from .stabilisation import boundary_parallel_curve, stabilize
+from .surface import SurfaceSpec
 
 
 def default_n(r: Fraction) -> int:

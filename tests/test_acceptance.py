@@ -29,13 +29,8 @@ from openbook.mcg import (
     evaluate,
 )
 from openbook.factorsearch import SearchProblem, search_positive, verify_factorisation
-from openbook.surface import (
-    boundary_parallel_curve,
-    curve_weights,
-    load_builtin,
-    relation_tables,
-    stabilize,
-)
+from openbook.stabilisation import boundary_parallel_curve, stabilize
+from openbook.surface import curve_weights, load_builtin, relation_tables
 from openbook.surgery import OpenBook, neg_continued_fraction, surgery
 
 

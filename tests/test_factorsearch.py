@@ -23,15 +23,14 @@ from openbook.mcg import (
     equal_classes,
     evaluate,
 )
+from openbook.catalog_json import catalog_from_json, catalog_to_json
+from openbook.stabilisation import stabilize
 from openbook.surface import (
     CurveConfig,
     SurfaceSpec,
-    catalog_from_json,
-    catalog_to_json,
     identity_key,
     load_builtin,
     right_compose,
-    stabilize,
     twist_step,
 )
 from openbook.surgery import OpenBook, surgery

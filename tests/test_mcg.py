@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from openbook import freegroup, mcg, surface
+from openbook import freegroup, mcg, stabilisation
 from openbook.freegroup import FreeAutomorphism, compose, sanov_basis, sanov_substitute
 from openbook.homology import (
     compose_linear,
@@ -24,13 +24,13 @@ from openbook.mcg import (
     equal_classes,
     evaluate,
 )
+from openbook.stabilisation import stabilize
 from openbook.surface import (
     RELATION_PATTERNS,
     identity_key,
     load_builtin,
     pair_relation,
     right_compose,
-    stabilize,
     twist_step,
 )
 from openbook.surgery import OpenBook, surgery
@@ -171,8 +171,8 @@ def test_boundary_exponent_delta_builds_no_curve(monkeypatch):
     book = OpenBook.standard(spec, TwistWord.parse(spec, catalog, "a b"))
     ob = surgery(book, "1", Fraction(-40))
     word = ob.word * TwistWord.parse(ob.surface, ob.word.catalog, "d2^3 g5 d7^-2 d1")
-    n, carry, carried = ob.surface.boundary, surface._carry, []
-    monkeypatch.setattr(surface, "_carry", lambda *args: carried.append(args) or carry(*args))
+    n, carry, carried = ob.surface.boundary, stabilisation._carry, []
+    monkeypatch.setattr(stabilisation, "_carry", lambda *args: carried.append(args) or carry(*args))
     pairs = [(i, j) for i in range(1, n + 1) for j in (1, n)]
     deltas = {(i, j): boundary_exponent_delta(word, i, j) for i, j in pairs}
     with pytest.raises(ValueError, match=f"no boundary-parallel curve for component {n + 1}"):

@@ -59,32 +59,62 @@ def test_no_layer_loads_dataclasses():
     assert not {"dataclasses", "inspect"} & set(loaded)
 
 
+# the modules the page-reading commands load only when they run them
+MOVED = {"stabilisation", "catalog_json"}
+
+
 @pytest.mark.parametrize(
-    "argv, absent",
+    "argv, present, absent",
     [
         (["search", "--surface", "sigma12", "--target", "d1 d2 e^2",
           "--alphabet", "s1,s2,s3", "--max-length", "3"],
-         {"kirby", "surgery", "json", "fractions"}),
+         {"surface", "mcg", "factorsearch"}, {"kirby", "surgery", "json", "fractions", *MOVED}),
         (["h1", "--surface", "sigma12", "--word", "a b g^-1 d1 d2^4"],
-         {"kirby", "surgery", "factorsearch", "json", "fractions"}),
+         {"surface", "mcg"}, {"kirby", "surgery", "factorsearch", "json", "fractions", *MOVED}),
         (["eval", "--surface", "sigma12", "--word", "a b"],
-         {"kirby", "surgery", "factorsearch", "json", "fractions"}),
+         {"surface", "mcg"}, {"kirby", "surgery", "factorsearch", "json", "fractions", *MOVED}),
         (["equal", "--surface", "sigma11", "--word1", "a b a", "--word2", "b a b"],
-         {"kirby", "surgery", "factorsearch", "json", "fractions"}),
+         {"surface", "mcg"}, {"kirby", "surgery", "factorsearch", "json", "fractions", *MOVED}),
         (["validate", "--surface", "sigma12"],
-         {"mcg", "kirby", "surgery", "factorsearch", "json", "fractions"}),
-        (["cf", "-5/4"], {"mcg", "surface", "surgery", "factorsearch"}),
+         {"surface"}, {"mcg", "kirby", "surgery", "factorsearch", "json", "fractions", *MOVED}),
+        (["validate", "--config", "{config}"],
+         {"surface", "catalog_json", "json"},
+         {"mcg", "kirby", "surgery", "factorsearch", "stabilisation", "fractions"}),
+        (["surgery", "--surface", "sigma11", "--word", "a b", "--K", "1", "--r", "-3"],
+         {"surface", "mcg", "stabilisation", "surgery", "kirby"},
+         {"factorsearch", "catalog_json", "json"}),
+        (["cf", "-5/4"], {"kirby"}, {"mcg", "surface", "surgery", "factorsearch", *MOVED}),
         (["seifert", "--e0", "-1", "--rs", "1/2,1/3,1/4"],
-         {"mcg", "surface", "surgery", "factorsearch"}),
+         {"kirby"}, {"mcg", "surface", "surgery", "factorsearch", *MOVED}),
         (["kirby", "--coefficients", "2,-1", "--link", "1-2:3"],
-         {"mcg", "surface", "surgery", "factorsearch"}),
+         {"kirby"}, {"mcg", "surface", "surgery", "factorsearch", *MOVED}),
     ],
-    ids=["search", "h1", "eval", "equal", "validate", "cf", "seifert", "kirby"],
+    ids=["search", "h1", "eval", "equal", "validate", "validate-config", "surgery",
+         "cf", "seifert", "kirby"],
 )
-def test_cli_commands_load_only_their_layers(argv, absent):
+def test_cli_commands_load_only_their_layers(argv, present, absent, tmp_path):
+    from openbook.surface import catalog_to_json, load_builtin
+
+    config = tmp_path / "sigma12.json"
+    config.write_text(catalog_to_json(*load_builtin("sigma12")), encoding="utf-8")
+    argv = [str(config) if arg == "{config}" else arg for arg in argv]
     loaded = fresh(f"from openbook import cli; cli.main({argv!r}); " + LOADED)
-    assert "cli" in loaded
+    assert present | {"cli"} <= set(loaded)
     assert not (absent | {"dataclasses", "inspect"}) & set(loaded)
+
+
+def test_surface_forwards_the_names_that_moved_out():
+    # openbook.surface still reads stabilize and the JSON format, as the
+    # same objects as in their new modules, and nothing else it lacks
+    from openbook import catalog_json, stabilisation, surface
+
+    assert surface.stabilize is stabilisation.stabilize is openbook.stabilize
+    assert surface.catalog_to_json is catalog_json.catalog_to_json
+    assert surface.catalog_from_json is catalog_json.catalog_from_json
+    assert set(surface._MOVED) == {"stabilize", "catalog_to_json", "catalog_from_json"}
+    message = "^module 'openbook.surface' has no attribute 'CarriedCatalog'$"
+    with pytest.raises(AttributeError, match=message):
+        surface.CarriedCatalog
 
 
 @pytest.mark.parametrize(

@@ -99,9 +99,17 @@ def test_startup_cost_covers_every_readme_example():
         assert entry["modules"][0] == "openbook"
         assert set(entry["import_ms"]) == {"openbook", "other"}
         assert entry["import_ms"]["openbook"] > 0 and entry["import_ms"]["other"] > 0
+        assert isinstance(entry["no_cached_bytecode"], bool)
     assert result["cf -5/4"]["modules"] == [
         "openbook", "openbook._value", "openbook.homology", "openbook.kirby"
     ]
+    package = ROOT / "src" / "openbook"
+    assert result["cf -5/4"]["openbook_lines"] == sum(
+        len((package / f"{stem}.py").read_text(encoding="utf-8").splitlines())
+        for stem in ("__init__", "_value", "homology", "kirby", "cli")
+    )
+    if os.environ.get("PYTHONDONTWRITEBYTECODE") and not (package / "__pycache__").exists():
+        assert all(entry["no_cached_bytecode"] for entry in result.values())
 
 
 def test_line_coverage_reports_lines_never_run():

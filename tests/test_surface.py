@@ -7,23 +7,21 @@ from itertools import combinations
 
 import pytest
 
-from openbook import freegroup, surface
+from openbook import catalog_json, freegroup, stabilisation, surface
 from openbook.cli import main
 from openbook.freegroup import FreeAutomorphism, compose, reduce_letters
 from openbook.homology import h1_of_open_book
 from openbook.mcg import TwistWord
+from openbook.catalog_json import catalog_from_json, catalog_to_json
+from openbook.stabilisation import boundary_parallel_curve, stabilize
 from openbook.surface import (
     RELATION_PATTERNS,
     CurveConfig,
     SurfaceSpec,
-    boundary_parallel_curve,
-    catalog_from_json,
-    catalog_to_json,
     curve_weights,
     load_builtin,
     pair_relation,
     relation_tables,
-    stabilize,
     twist_step,
     validate_catalog,
 )
@@ -50,6 +48,17 @@ def test_builtin_catalogs_validate():
             "chain",
             "lantern",
         ]
+
+
+def test_unimodular_needs_no_smith_form_after_a_transvection(monkeypatch):
+    # a curve whose abelianisation is I + h q^T has determinant 1 + q . h:
+    # the Smith form runs only for a curve that failed transvection
+    def cokernel(_matrix):
+        raise AssertionError("cokernel called")
+
+    monkeypatch.setattr(surface, "cokernel", cokernel)
+    for name in ("sigma11", "sigma12"):
+        assert validate_catalog(*load_builtin(name)).ok
 
 
 def test_builtin_structure():
@@ -310,7 +319,7 @@ def test_json_automorphism_letter_limit(tmp_path, capsys):
     spec, catalog = load_builtin("sigma11")
     obj = json.loads(catalog_to_json(spec, catalog))
     a = next(c for c in obj["curves"] if c["name"] == "a")
-    n = (surface.MAX_AUT_LETTERS - 4) // 2  # y -> y x^n has 2n + 4 letters both ways
+    n = (catalog_json.MAX_AUT_LETTERS - 4) // 2  # y -> y x^n has 2n + 4 letters both ways
     a["aut"] = {"images": [[1], [2] + [1] * n], "inverse_images": [[1], [2] + [-1] * n]}
     assert catalog_from_json(json.dumps(obj))[1]["a"].aut.images[1] == (2,) + (1,) * n
     a["aut"]["images"][0].append(1)  # one letter past the limit, and no inverse
@@ -318,7 +327,7 @@ def test_json_automorphism_letter_limit(tmp_path, capsys):
         catalog_from_json(json.dumps(obj))
     assert str(err.value) == (
         f"curve 'a': bad automorphism: images and inverse_images hold "
-        f"{surface.MAX_AUT_LETTERS + 1} letters; the limit is {surface.MAX_AUT_LETTERS}"
+        f"{catalog_json.MAX_AUT_LETTERS + 1} letters; the limit is {catalog_json.MAX_AUT_LETTERS}"
     )
     path = tmp_path / "long.json"
     path.write_text(json.dumps(obj))
@@ -501,7 +510,7 @@ def test_surgery_builds_no_table(monkeypatch, capsys):
             return builder(*args)
         return watched
 
-    monkeypatch.setattr(surface, "_transport_tables", watch(surface._transport_tables))
+    monkeypatch.setattr(stabilisation, "_transport_tables", watch(stabilisation._transport_tables))
     monkeypatch.setattr(freegroup, "_conjugation_tables", watch(freegroup._conjugation_tables))
     spec, catalog = load_builtin("sigma11")
     book = OpenBook.standard(spec, TwistWord.parse(spec, catalog, "a b"))
@@ -517,7 +526,7 @@ def test_surgery_builds_no_table(monkeypatch, capsys):
             if build is not None:
                 deferred[id(cfg.aut)] = cfg.aut
                 root = build[1][0]
-                if build[0] is surface._transport_tables and "_build" in root.__dict__:
+                if build[0] is stabilisation._transport_tables and "_build" in root.__dict__:
                     deferred[id(root)] = root
     assert len(deferred) > 30
     for aut in deferred.values():
@@ -547,6 +556,8 @@ def test_surface_spec_is_linear_in_boundary():
         small._with_hole(small.boundary_words[0])
     with pytest.raises(ValueError, match="need genus >= 0 and at least one boundary component"):
         SurfaceSpec(-1, 1, ((),))
+    with pytest.raises(ValueError, match="need one boundary word per boundary component"):
+        SurfaceSpec(1, 2, ((1, 2, -1, -2),))
 
 
 def test_stabilize_errors():
@@ -667,10 +678,10 @@ def _eager_stabilize(spec, catalog, K):
         if bpt == 1:
             return FreeAutomorphism.inner(t, new_b1)
         if bpt is not None:
-            return surface._transported_aut(cfg.aut, ((t, None),))
+            return stabilisation._transported_aut(cfg.aut, ((t, None),))
         if zk is not None and (cfg.h[zk - 1] or cfg.p[zk - 1]):
             return None
-        return surface._transported_aut(cfg.aut, ((t, zk),))
+        return stabilisation._transported_aut(cfg.aut, ((t, zk),))
 
     new_catalog, renames = {}, {}
 

@@ -7,7 +7,8 @@ import pytest
 
 from openbook.homology import h1_of_open_book
 from openbook.mcg import TwistWord, equal_classes, evaluate
-from openbook.surface import catalog_to_json, load_builtin
+from openbook.catalog_json import catalog_to_json
+from openbook.surface import load_builtin
 from openbook.surgery import (
     NegCF,
     OpenBook,

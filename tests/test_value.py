@@ -11,16 +11,15 @@ from openbook.freegroup import FreeAutomorphism
 from openbook.homology import AbelianGroup, cokernel
 from openbook.kirby import FramedLinkPresentation, NegCF, SeifertData
 from openbook.mcg import MappingClass, TwistWord, evaluate
+from openbook.stabilisation import StabResult, stabilize
 from openbook.surface import (
     CheckResult,
     CurveConfig,
     RelationTables,
-    StabResult,
     SurfaceSpec,
     ValidationReport,
     load_builtin,
     relation_tables,
-    stabilize,
 )
 from openbook.surgery import OpenBook
 

@@ -7,7 +7,10 @@ times (default 5), and once more under ``-X importtime`` to read which
 as ``__main__`` and is not among them) and the import self-times of
 those modules and of every other module, summed in milliseconds.  Wall
 times include interpreter start-up and, without cached bytecode,
-compiling every module loaded.
+compiling every module loaded.  The runs inherit this process's
+environment: with ``PYTHONDONTWRITEBYTECODE`` set and no
+``__pycache__`` in the checkout, each run compiles every ``openbook``
+source it loads, ``openbook/cli.py`` included.
 
 Run from the repository root:
 
@@ -15,11 +18,16 @@ Run from the repository root:
 
 It prints one JSON line mapping each example's command line (without
 the leading ``openbook``) to its median wall time in seconds
-(``median_s``), its loaded modules (``modules``) and its import
-self-time in ms (``import_ms``: ``openbook`` and ``other``).
+(``median_s``), its loaded modules (``modules``), its import self-time
+in ms (``import_ms``: ``openbook`` and ``other``), the source lines of
+the ``openbook`` files it ran, ``cli.py`` included (``openbook_lines``,
+which does not depend on the host), and whether no cached bytecode of
+those files existed after its runs (``no_cached_bytecode``: then every
+run compiled them).
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import shlex
@@ -67,6 +75,14 @@ def import_profile(argv: list[str], env: dict) -> tuple[list[str], dict]:
     return sorted(modules), {k: round(v / 1000, 2) for k, v in self_us.items()}
 
 
+def module_sources(modules: list[str]) -> list[Path]:
+    """The source files of the ``openbook`` modules named and of
+    ``openbook/cli.py``, which the runs execute as ``__main__``."""
+    package = ROOT / "src" / "openbook"
+    stems = [name.partition(".")[2] or "__init__" for name in modules]
+    return [package / f"{stem}.py" for stem in stems + ["cli"]]
+
+
 def wall_time(argv: list[str], env: dict) -> float:
     start = time.perf_counter()
     proc = subprocess.run(
@@ -89,10 +105,17 @@ def main() -> None:
         argv = shlex.split(command)
         times = [wall_time(argv, env) for _ in range(reps)]
         modules, import_ms = import_profile(argv, env)
+        sources = module_sources(modules)
         result[command] = {
             "median_s": round(statistics.median(times), 4),
             "modules": modules,
             "import_ms": import_ms,
+            "openbook_lines": sum(
+                len(path.read_text(encoding="utf-8").splitlines()) for path in sources
+            ),
+            "no_cached_bytecode": not any(
+                Path(importlib.util.cache_from_source(str(path))).exists() for path in sources
+            ),
         }
     print(json.dumps(result))
 

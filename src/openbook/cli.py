@@ -37,7 +37,9 @@ class UsageError(ValueError):
 # at rank 1000 and 0.15 s and 76 MiB at rank 2000, and each dense curve
 # in the word adds about r^2 steps (20 of them: 0.7 s at rank 1000).
 # The trefoil surgery page at r = -480 (tools/surgery_depth.py) has rank
-# 481.  validate reads no word, so it takes a page of any rank.
+# 481; surgery refuses a coefficient whose page would pass the limit
+# before it stabilises.  validate reads no word, so it takes a page of
+# any rank.
 MAX_RANK = 1000
 
 _VALUELESS = {"--json", "--peel", "--no-prune"}
@@ -136,7 +138,7 @@ def _cmd_surgery(flags):
 
     spec, _, word = _load(flags, "--word")
     book = OpenBook.standard(spec, word)
-    out = surgery(book, flags["--K"], parse_rational(flags["--r"]), flags.get("--n"))
+    out = surgery(book, flags["--K"], parse_rational(flags["--r"]), flags.get("--n"), MAX_RANK)
     return (
         [f"surface: {out.surface.name}", f"word: {out.word.render()}"],
         {

@@ -78,20 +78,28 @@ def _fresh_labels(bindings: tuple[str, ...]) -> Iterator[str]:
     return filterfalse(set(bindings).__contains__, map(str, count(1)))
 
 
-def admissible_surgery(ob: OpenBook, binding: str, r: Fraction) -> OpenBook:
+def admissible_surgery(
+    ob: OpenBook, binding: str, r: Fraction, max_rank: int | None = None
+) -> OpenBook:
     """Admissible transverse surgery with coefficient r < -1 on the
     named binding component; the module docstring says what the steps
-    carry."""
+    carry.  Each display entry e of the continued fraction of r costs
+    |e + 2| stabilisations, each adding one to the page's rank: a page
+    of rank above ``max_rank``, when given, is refused before the first."""
     if r >= -1:
         raise ValueError(
             f"admissible surgery needs r < -1, got {r}; "
             "positive coefficients go through inadmissible_surgery"
         )
     position = ob.binding_index(binding)
+    blocks = neg_continued_fraction(r).display_entries()
+    rank = ob.surface.rank + sum(abs(entry + 2) for entry in blocks)
+    if max_rank is not None and rank > max_rank:
+        raise ValueError(f"surgery page would have rank {rank}; the limit is {max_rank}")
     fresh = _fresh_labels(ob.bindings)
     surface, catalog, labels = ob.surface, ob.word.catalog, ob.bindings
     entries = list(ob.word.entries)
-    for entry in neg_continued_fraction(r).display_entries():
+    for entry in blocks:
         for _ in range(abs(entry + 2)):
             res = stabilize(surface, catalog, position)
             entries = [(res.renames.get(n, n), e) for n, e in entries]
@@ -108,11 +116,12 @@ def admissible_surgery(ob: OpenBook, binding: str, r: Fraction) -> OpenBook:
 
 
 def inadmissible_surgery(
-    ob: OpenBook, binding: str, r: Fraction, n: int | None = None
+    ob: OpenBook, binding: str, r: Fraction, n: int | None = None,
+    max_rank: int | None = None,
 ) -> OpenBook:
     """Inadmissible transverse surgery with coefficient r > 0: insert n
     negative boundary-parallel twists and continue admissibly with
-    coefficient p/(q - n*p)."""
+    coefficient p/(q - n*p), under the same ``max_rank``."""
     if r <= 0:
         raise ValueError(f"inadmissible surgery needs r > 0, got {r}")
     if n is None:
@@ -131,21 +140,24 @@ def inadmissible_surgery(
     curve = boundary_parallel_curve(ob.word.catalog, position)
     word = TwistWord(ob.surface, ob.word.catalog, ob.word.entries + ((curve, -n),))
     twisted = OpenBook(ob.surface, word, ob.bindings)
-    return admissible_surgery(twisted, binding, residual)
+    return admissible_surgery(twisted, binding, residual, max_rank)
 
 
 def surgery(
-    ob: OpenBook, binding: str, r: Fraction, n: int | None = None
+    ob: OpenBook, binding: str, r: Fraction, n: int | None = None,
+    max_rank: int | None = None,
 ) -> OpenBook:
     """Dispatch on the coefficient: r < -1 admissible (raises if the twist
     count n is given), r > 0 inadmissible; coefficients in [-1, 0] are
-    not realised by either construction."""
+    not realised by either construction.  A page of rank above
+    ``max_rank``, when given, is refused after every other check and
+    before the first stabilisation."""
     if r < -1:
         if n is not None:
             raise ValueError(f"twist count n={n} applies only to r > 0, got r={r}")
-        return admissible_surgery(ob, binding, r)
+        return admissible_surgery(ob, binding, r, max_rank)
     if r > 0:
-        return inadmissible_surgery(ob, binding, r, n)
+        return inadmissible_surgery(ob, binding, r, n, max_rank)
     raise ValueError(
         f"coefficient {r} is in [-1, 0]; no surgery description is available"
     )

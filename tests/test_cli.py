@@ -570,6 +570,43 @@ def test_config_rank_limit(tmp_path, capsys, monkeypatch):
     assert (code, err) == (0, "") and out.startswith("structure: PASS\n")
 
 
+def test_surgery_rank_limit(capsys, monkeypatch):
+    # surgery refuses a coefficient whose page would pass MAX_RANK before
+    # it stabilises: -100000 asks for 99999 stabilisations, and 100000/99999
+    # for as many through its residual -100000
+    import openbook.surgery
+
+    surgery = sys.modules["openbook.surgery"]  # the module, not the function
+    limit = cli.MAX_RANK
+
+    def trefoil(r, *rest, K="1"):
+        return run(capsys, "surgery", "--surface", "sigma11", "--word", "a b",
+                   "--K", K, "--r", r, *rest)
+
+    stabilize = surgery.stabilize
+    monkeypatch.setattr(surgery, "stabilize", None)  # any stabilisation would fail
+    for r in ("-100000", "100000/99999"):
+        assert trefoil(r) == (
+            1, "", f"error: surgery page would have rank 100001; the limit is {limit}\n"
+        )
+    # every other check comes first, with its own line
+    assert trefoil("-100000", "--n", "2") == (
+        1, "", "error: twist count n=2 applies only to r > 0, got r=-100000\n"
+    )
+    assert trefoil("1/100000") == (
+        1, "", "error: n=100001 leaves coefficient -1, not < -1 as admissible surgery needs; "
+        "valid n satisfy 100000/1 < n < 100000/1 + 1, and none exists when p divides q\n"
+    )
+    assert trefoil("-100000", K="2") == (1, "", "error: no binding labelled '2'\n")
+    # the limit itself is allowed: r = -11 stabilises the trefoil page
+    # 10 times, to rank 12
+    monkeypatch.setattr(cli, "MAX_RANK", 12)
+    assert trefoil("-12") == (1, "", "error: surgery page would have rank 13; the limit is 12\n")
+    monkeypatch.setattr(surgery, "stabilize", stabilize)
+    code, out, err = trefoil("-11")
+    assert (code, err) == (0, "") and out.startswith("surface: sigma111\n")
+
+
 def test_help_and_unknown(capsys):
     code, _, err = run(capsys)
     assert code == 1 and "Subcommands:" in err

@@ -166,7 +166,9 @@ def test_boundary_exponent_delta():
 def test_boundary_exponent_delta_builds_no_curve(monkeypatch):
     # on the r = -40 surgery page of the trefoil book, whose word twists
     # once about each d<i>, the delta reads the boundary indices from the
-    # carried catalog's records
+    # carried catalog's records; the memo is emptied so that no earlier
+    # test has read the page's curves
+    stabilisation._stabilised.cache_clear()
     spec, catalog = load_builtin("sigma11")
     book = OpenBook.standard(spec, TwistWord.parse(spec, catalog, "a b"))
     ob = surgery(book, "1", Fraction(-40))

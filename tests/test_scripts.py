@@ -76,10 +76,19 @@ def test_search_cost_exhausts_every_target():
 
 
 def test_surgery_depth_times_every_coefficient():
+    # each coefficient with the memo empty and then served by it, and the
+    # memory the memo keeps, well under the 26 MiB that an unbounded memo
+    # of the r = -480 chain kept
+    from openbook.stabilisation import MEMO_PAGES
+
     out = run_script(ROOT / "tools" / "surgery_depth.py")
-    seconds = json.loads(out)
-    assert list(seconds) == ["-60", "-120", "-240", "-480"]
-    assert all(isinstance(s, float) and s >= 0 for s in seconds.values())
+    result = json.loads(out)
+    assert list(result) == ["empty_memo_s", "memo_s", "memo_pages", "memo_retained_mib"]
+    for seconds in (result["empty_memo_s"], result["memo_s"]):
+        assert list(seconds) == ["-60", "-120", "-240", "-480"]
+        assert all(isinstance(s, float) and s >= 0 for s in seconds.values())
+    assert result["memo_pages"] == MEMO_PAGES
+    assert 0 < result["memo_retained_mib"] < 13
 
 
 def test_startup_cost_covers_every_readme_example():

@@ -392,6 +392,56 @@ def test_stabilize_second_component():
     assert validate_catalog(result.surface, result.catalog).ok
 
 
+def test_stabilize_memo_keys_plain_catalogs_by_value():
+    # a plain catalog is keyed by its items when stabilised: a repeat is
+    # served from the memo, and a curve replaced in between gives the
+    # mutated page's result, not the stale one
+    spec, catalog = load_builtin("sigma12")
+    first = stabilize(spec, catalog, 2)
+    assert stabilize(spec, dict(catalog), 2) is first
+    a = catalog["a"]
+    catalog["a"] = CurveConfig(a.h, a.q, a.p)  # a without its twist
+    second = stabilize(spec, catalog, 2)
+    assert second is not first
+    assert first.catalog["a"].aut is not None and second.catalog["a"].aut is None
+    assert [first.catalog[n] for n in first.catalog if n != "a"] == [
+        second.catalog[n] for n in second.catalog if n != "a"
+    ]
+    # a carried catalog is keyed by identity: an equal copy is a new page
+    assert stabilize(first.surface, first.catalog, 2) is stabilize(first.surface, first.catalog, 2)
+    copy = stabilize(first.surface, dict(first.catalog), 2)
+    assert copy is not stabilize(first.surface, first.catalog, 2)
+    assert dict(copy.catalog) == dict(stabilize(first.surface, first.catalog, 2).catalog)
+
+
+def test_stabilize_results_are_read_only():
+    # one result goes to every caller on its page, so nothing it exposes
+    # can be changed, and a mutable copy of its catalog reaches no one else
+    spec, catalog = load_builtin("sigma12")
+    result = stabilize(spec, catalog, 2)
+    a = result.catalog["a"]
+    with pytest.raises(TypeError):
+        result.catalog["a"] = result.catalog["b"]
+    with pytest.raises(TypeError):
+        del result.catalog["a"]
+    with pytest.raises(TypeError):
+        result.renames["d2"] = "x"
+    for field in ("surface", "catalog", "renames", "stab_curve", "k_index"):
+        with pytest.raises(AttributeError):
+            setattr(result, field, None)
+    copy = dict(result.catalog)
+    copy["a"] = result.catalog["b"]
+    again = stabilize(spec, catalog, 2)
+    assert again is result and again.catalog["a"] is a and dict(again.renames) == {"d2": "g3"}
+    # sigma11 at K = 1 hands back a fresh builtin sigma12 catalog each time
+    spec11, catalog11 = load_builtin("sigma11")
+    builtin = stabilize(spec11, catalog11, 1)
+    builtin.catalog["a"] = builtin.catalog["b"]
+    assert stabilize(spec11, catalog11, 1).catalog == load_builtin("sigma12")[1]
+    with pytest.raises(TypeError):
+        builtin.renames["d"] = "x"
+
+
 def test_stabilisation_chains_stay_valid():
     # stabilize builds every automorphism trusted: each page of a random
     # chain must validate, and each automorphism must rebuild through
@@ -499,7 +549,9 @@ def test_stabilised_tables_match_transport():
 
 def test_surgery_builds_no_table(monkeypatch, capsys):
     # surgery, H1 and the surgery command never read a stabilised table;
-    # the first read of one builds it, once
+    # the first read of one builds it, once.  The memo is emptied so that
+    # every page is built here, under the watch, not by an earlier test
+    stabilisation._stabilised.cache_clear()
     calls, armed = [], [True]
 
     def watch(builder):

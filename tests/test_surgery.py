@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from openbook import stabilisation
 from openbook.homology import h1_of_open_book
 from openbook.mcg import TwistWord, equal_classes, evaluate
 from openbook.catalog_json import catalog_to_json
@@ -226,6 +227,65 @@ def test_surgery_digest_is_pinned():
                 text = f"error: {e}"
             digest.update(f"{r}\n{text}\n".encode())
     assert digest.hexdigest() == "70dae8b9c5d1c3643c6112d046c22003f7c505fd763262c2ca937432aeff9a21"
+
+
+def _surgery_h1_coefficients():
+    """The coefficients of the benchmark's surgery-h1 workload: r = -p/q
+    and p/q, p <= 40 and q <= 8 coprime, outside [-1, 0], with p not
+    dividing q when r > 0 and at most 8 stabilisations."""
+    out = []
+    for p in range(1, 41):
+        for q in range(1, 9):
+            if math.gcd(p, q) != 1:
+                continue
+            for r in (Fraction(-p, q), Fraction(p, q)):
+                if -1 <= r <= 0 or (r > 0 and q % p == 0):
+                    continue
+                residual = r if r < 0 else Fraction(p, q - default_n(r) * p)
+                entries = neg_continued_fraction(residual).display_entries()
+                depth = sum(abs(e + 2) for e in entries)
+                if depth <= 8:
+                    out.append((depth, r))
+    return out
+
+
+def _book_text(ob):
+    return (catalog_to_json(ob.surface, ob.word.catalog), ob.word.entries, ob.bindings,
+            str(h1_of_open_book(ob)))
+
+
+def test_memo_changes_no_book():
+    # every surgery-h1 coefficient gives the same page, word, bindings and
+    # H1 from a memo filled deepest first, or shallowest first, as from an
+    # empty memo.  Each book is read in full as soon as it is built, so
+    # later pages are stabilised from pages whose curves were carried
+    book, coefficients = trefoil_book(), _surgery_h1_coefficients()
+    assert len(coefficients) > 300 and max(coefficients)[0] == 8
+    want = {}
+    for _, r in coefficients:
+        stabilisation._stabilised.cache_clear()
+        want[r] = _book_text(surgery(book, "1", r))
+    for deepest_first in (True, False):
+        stabilisation._stabilised.cache_clear()
+        got = {}
+        for _, r in sorted(coefficients, reverse=deepest_first):
+            got[r] = _book_text(surgery(book, "1", r))
+        assert got == want
+        # one chain of pages serves every coefficient: the seven pages
+        # after sigma12, which stabilize hands back without the memo
+        info = stabilisation._stabilised.cache_info()
+        assert (info.currsize, info.misses) == (7, 7)
+
+
+def test_memo_keeps_its_bound():
+    # r = -480 stabilises the trefoil page 479 times, all but the first
+    # through the memo, which keeps only the last MEMO_PAGES pages
+    stabilisation._stabilised.cache_clear()
+    deep = surgery(trefoil_book(), "1", Fraction(-480))
+    assert deep.surface.boundary == 480
+    info = stabilisation._stabilised.cache_info()
+    assert (info.hits, info.misses) == (0, 478)
+    assert info.currsize == info.maxsize == stabilisation.MEMO_PAGES
 
 
 def _least_free_labels(bindings, k):
